@@ -36,6 +36,8 @@ live in ``__dict__`` attributes that ``copy.deepcopy`` can handle —
 plain data, or containers of it.  Attributes holding live iterators (an
 in-flight latency *iterable*) are the one known exception and raise
 :class:`~repro.kernel.errors.SnapshotError` naming the attribute.
+Bound-method callbacks held by a component (a barrier's
+``on_release``) are wiring, not state, and are never copied.
 Simulator-level observers are not snapshotted; a trace recorder keeps
 accumulating across a restore.
 """
@@ -43,6 +45,7 @@ accumulating across a restore.
 from __future__ import annotations
 
 import copy
+import types
 from typing import TYPE_CHECKING, Any
 
 from repro.kernel.component import Component
@@ -99,9 +102,15 @@ def _snapshot_component(
     for key, value in comp.__dict__.items():
         if key in _STRUCTURAL_KEYS:
             continue
-        if id(value) in infra_ids or _is_infra_sequence(value):
+        if (
+            id(value) in infra_ids
+            or _is_infra_sequence(value)
+            or isinstance(value, types.MethodType)
+        ):
             # A direct reference to a component/signal (or a cached
-            # list of them) is structure: shared, never restored.
+            # list of them) is structure: shared, never restored.  So
+            # is a bound-method callback: deep-copying it would clone
+            # its receiver and rewire the callback to the clone.
             continue
         try:
             blob[key] = copy.deepcopy(value, memo)

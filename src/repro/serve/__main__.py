@@ -4,7 +4,7 @@ Starts the HTTP front end over a long-running
 :class:`repro.sweep.jobs.JobService`:
 
 * ``--workers N`` — persistent worker-pool size (0 = inline execution
-  in the dispatcher thread; designs stay cached either way).
+  on one thread worker; designs stay cached either way).
 * ``--store PATH`` — persist the result store as append-only JSONL at
   PATH, so dedup survives restarts.  ``--memory-store`` keeps
   memoization in RAM only; the default is no dedup at all.

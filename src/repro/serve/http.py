@@ -16,6 +16,7 @@ service's dispatcher/worker processes.
 from __future__ import annotations
 
 import json
+import math
 import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -160,7 +161,17 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _report(
         self, job_id: str, status: dict[str, Any], params: dict[str, str]
     ) -> None:
-        wait = min(float(params.get("wait", 0) or 0), MAX_WAIT_S)
+        raw = params.get("wait", "")
+        try:
+            wait = float(raw or 0)
+        except ValueError:
+            wait = math.nan
+        if not math.isfinite(wait):
+            return self._error(
+                400, f"invalid wait {raw!r}: expected a finite number of "
+                "seconds", field="wait",
+            )
+        wait = min(wait, MAX_WAIT_S)
         job = self.service.job(job_id)
         if wait and not job.done_event.is_set():
             job.done_event.wait(wait)
@@ -181,6 +192,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
             except ValueError as exc:
                 return self._error(400, f"invalid JSON body: {exc}")
             try:
+                if not isinstance(data, dict):
+                    # Only a spec object: a JSON string would otherwise
+                    # be taken as a path on the server's filesystem.
+                    raise SpecError(
+                        "request body must be a JSON object (the "
+                        "campaign spec)", path="spec",
+                    )
                 job_id = self.service.submit(data)
             except SpecError as exc:
                 return self._send_json(400, {"error": exc.to_dict()})

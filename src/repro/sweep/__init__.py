@@ -49,7 +49,6 @@ from repro.sweep.spec import (
     CampaignSpec,
     ScenarioSpec,
     SpecError,
-    SweepSpecError,
     load_spec,
     make_scenario,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "ResultStore",
     "ScenarioSpec",
     "SpecError",
-    "SweepSpecError",
     "aggregate",
     "cancel",
     "canonical_report",

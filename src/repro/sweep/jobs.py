@@ -15,17 +15,19 @@ The moving parts of a :class:`JobService`:
   :meth:`~JobService.result` / :meth:`~JobService.cancel` observe and
   steer jobs by id.
 
-* **A persistent worker pool with design-cache affinity.**  With
-  ``workers=N`` the service keeps N long-lived worker processes;
-  scenarios are routed to workers by a stable hash of their design key
-  (:func:`design_affinity`), so every scenario of one design — across
-  *all* jobs, not just within one campaign — lands on the worker that
-  already holds that design compiled, and rewinds it via the kernel's
-  columnar snapshot/restore instead of rebuilding.  ``workers<=1`` (or
-  0) executes inline in the dispatcher thread with the same long-lived
-  cache semantics.  A worker process that dies fails only the scenario
-  it was running (``status="worker-failed"``); the pool respawns the
-  worker (cold cache) and the job continues.
+* **A persistent worker pool with design-cache affinity.**  One
+  scheduler feeds a pool of long-lived workers, one unit in flight
+  per worker.  With ``workers=N >= 2`` the workers are N processes;
+  ``workers<=1`` gives one thread worker (inline execution, no
+  subprocesses).  Both kinds run the same unit-execution function
+  against a worker-lifetime design cache.  Units are routed to workers
+  by a stable hash of their design key (:func:`design_affinity`), so
+  every scenario of one design — across *all* jobs, not just within
+  one campaign — lands on the worker that already holds that design
+  compiled, and rewinds it via the kernel's columnar snapshot/restore
+  instead of rebuilding.  A worker process that dies fails only the
+  unit it was running (``status="worker-failed"``); the pool respawns
+  the worker (cold cache) and the job continues.
 
 * **A persisted result store with dedup.**  With a
   :class:`repro.sweep.store.ResultStore`, each scenario's canonical
@@ -46,8 +48,9 @@ The service is also **fault-tolerant** (the resilience layer):
   (explicit ``timeout_s`` at any level, or derived from the family's
   recent p95 durations); the dispatcher kills and respawns a worker
   that blows it and marks the rows ``status="timeout"`` without
-  failing the rest of the job.  Inline mode abandons the runner thread
-  instead (it cannot be killed) and continues on a fresh one.
+  failing the rest of the job.  A process worker is SIGKILLed; a
+  thread worker cannot be killed, so it is abandoned (its late result
+  is dropped) and replaced by a fresh one.
 * **Bounded retries** — rows failing with a retryable status
   (:data:`RETRYABLE_STATUSES`) are re-enqueued up to ``retries`` times
   with exponential backoff, re-routed off the affinity worker on the
@@ -82,6 +85,7 @@ from repro.sweep.registry import registry_payload
 from repro.sweep.runner import _scenario_row, execute_unit, plan_units
 from repro.sweep.spec import (
     CampaignSpec,
+    SpecError,
     _retries_value,
     _timeout_value,
     from_dict,
@@ -89,7 +93,7 @@ from repro.sweep.spec import (
 )
 from repro.sweep.store import ResultStore
 
-#: Poll interval for the pooled result loop (drives liveness checks).
+#: Poll interval of the scheduler's result loop (drives the watchdog).
 _POLL_S = 0.05
 
 #: Job states after which no further events can be published.
@@ -164,103 +168,158 @@ def design_affinity(design_key: str, workers: int) -> int:
 # worker pool
 # ----------------------------------------------------------------------
 
-def _worker_main(index: int, tasks, results) -> None:
-    """Worker-process loop: execute units against a persistent cache.
+def _run_unit(index: int, msg, cache: dict, mode: str) -> tuple:
+    """Execute one dispatched unit on worker *index*: the result tuple.
 
-    A *unit* is a list of scenarios — a singleton for the serial path
-    or an ensemble batch of control-identical scenarios that advance in
-    lockstep through one compiled schedule.  The cache maps (design
-    key, engine[, "ensemble"]) to (handle[, ctx], pristine snapshot)
-    and lives for the worker's whole life — jobs come and go, compiled
-    designs stay warm.
+    The one unit-execution path of both worker kinds.  A *unit* is a
+    list of scenarios — a singleton for the serial path or an ensemble
+    batch of control-identical scenarios that advance in lockstep
+    through one compiled schedule.  *cache* maps (design key,
+    engine[, "ensemble"]) to (handle[, ctx], pristine snapshot) and
+    lives as long as the worker — jobs come and go, compiled designs
+    stay warm.
 
-    Each message carries an *opts* mapping: ``profile`` attaches the
-    kernel profiler per scenario, ``trace_id``/``parent`` seed a
-    worker-side :class:`~repro.obs.trace.Tracer` whose finished spans
-    (unit -> scenario -> build/simulate/metrics, tagged with this
-    worker's index) ship back in the result tuple for the dispatcher to
-    merge into the job's trace.
+    *msg* is ``(job_id, unit, engine, opts)``: ``opts["profile"]``
+    attaches the kernel profiler per scenario, ``opts["parent"]`` is
+    the job span id.  A worker-side :class:`~repro.obs.trace.Tracer`
+    records unit -> scenario -> build/simulate/metrics spans tagged
+    with this worker's index; they ship back in the result tuple for
+    the dispatcher to merge into the job's trace.
+    """
+    job_id, unit, engine, opts = msg
+    tracer = Tracer(trace_id=job_id, worker=index)
+    try:
+        with tracer.span(
+            "unit", parent=opts["parent"], scenarios=len(unit), mode=mode,
+        ) as unit_span:
+            unit_rows = execute_unit(
+                unit,
+                engine,
+                cache=cache,
+                shard=index,
+                profile=opts["profile"],
+                tracer=tracer,
+                parent=unit_span,
+            )
+    except BaseException as exc:  # pragma: no cover - defensive
+        unit_rows = []
+        for scenario in unit:
+            row = _scenario_row(scenario, index)
+            row["status"] = "error"
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            unit_rows.append(row)
+    indices = [scenario.index for scenario in unit]
+    return index, job_id, indices, unit_rows, tracer.spans()
+
+
+def _worker_loop(index: int, tasks, results, mode: str, abandoned=None):
+    """Drain *tasks* into *results* until the ``None`` sentinel.
+
+    The cache is local to the loop, so a respawned worker starts cold.
+    An *abandoned* worker (thread kind only) drops its late result.
     """
     cache: dict = {}
     while True:
         msg = tasks.get()
         if msg is None:
             return
-        job_id, unit, engine, opts = msg
-        tracer = Tracer(trace_id=opts.get("trace_id"), worker=index)
-        try:
-            with tracer.span(
-                "unit",
-                parent=opts.get("parent"),
-                scenarios=len(unit),
-                mode="pool",
-            ) as unit_span:
-                unit_rows = execute_unit(
-                    unit,
-                    engine,
-                    cache=cache,
-                    shard=index,
-                    profile=bool(opts.get("profile")),
-                    tracer=tracer,
-                    parent=unit_span,
-                )
-        except BaseException as exc:  # pragma: no cover - defensive
-            unit_rows = []
-            for scenario in unit:
-                row = _scenario_row(scenario, index)
-                row["status"] = "error"
-                row["error"] = f"{type(exc).__name__}: {exc}"
-                unit_rows.append(row)
-        indices = [scenario.index for scenario in unit]
-        try:
-            results.put((index, job_id, indices, unit_rows, tracer.spans()))
-        except Exception:  # pragma: no cover - unpicklable metrics
-            fallback = []
-            for scenario in unit:
-                row = _scenario_row(scenario, index)
-                row["status"] = "error"
-                row["error"] = "scenario result was not serializable"
-                fallback.append(row)
-            results.put((index, job_id, indices, fallback, tracer.spans()))
+        result = _run_unit(index, msg, cache, mode)
+        if abandoned is not None and abandoned.is_set():
+            return
+        results.put(result)
 
 
-class _Worker:
-    """One pool member: a task queue plus the process draining it."""
+class _ProcessWorker:
+    """A pool member in its own process; ``kill()`` is SIGKILL."""
 
-    def __init__(self, ctx, index: int, results):
-        self.index = index
+    kill_verb = "killed"
+
+    def __init__(self, index: int, results, ctx):
         self.tasks = ctx.Queue()
         self.process = ctx.Process(
-            target=_worker_main,
-            args=(index, self.tasks, results),
+            target=_worker_loop,
+            args=(index, self.tasks, results, "pool"),
             daemon=True,
             name=f"sweep-worker-{index}",
         )
         self.process.start()
 
+    def alive(self) -> bool:
+        return self.process.is_alive()
+
+    @property
+    def exitcode(self) -> int | None:
+        return self.process.exitcode
+
+    def kill(self) -> None:
+        self.process.kill()
+        self.process.join(timeout=1.0)
+
+    def join(self) -> None:
+        self.process.join(timeout=2.0)
+        self.kill()  # no-op once the process has exited
+
+
+class _ThreadWorker:
+    """A pool member on a daemon thread; ``kill()`` abandons it.
+
+    A thread cannot be killed: an abandoned worker is left to finish
+    (or leak, as a daemon) with ``abandoned`` set, so its late result
+    is dropped at the source.  Its replacement starts with a fresh
+    (cold) cache, exactly like a respawned process.
+    """
+
+    kill_verb = "abandoned"
+    exitcode = None
+
+    def __init__(self, index: int, results):
+        self.tasks: queue.Queue = queue.Queue()
+        self.abandoned = threading.Event()
+        self.thread = threading.Thread(
+            target=_worker_loop,
+            args=(index, self.tasks, results, "inline", self.abandoned),
+            daemon=True,
+            name=f"sweep-inline-worker-{index}",
+        )
+        self.thread.start()
+
+    def alive(self) -> bool:
+        return self.thread.is_alive()
+
+    def kill(self) -> None:
+        self.abandoned.set()
+
+    def join(self) -> None:
+        self.thread.join(timeout=1.0)
+
 
 class _WorkerPool:
-    """N persistent worker processes sharing one result queue."""
+    """Workers sharing one result queue.
 
-    def __init__(self, size: int):
-        self._ctx = multiprocessing.get_context()
-        self.size = size
-        self.results = self._ctx.Queue()
-        self.workers = [
-            _Worker(self._ctx, i, self.results) for i in range(size)
-        ]
+    ``processes >= 2`` gives that many process workers; 0 gives one
+    thread worker (inline execution, no subprocesses).
+    """
+
+    def __init__(self, processes: int):
+        self.processes = processes
+        if processes:
+            ctx = multiprocessing.get_context()
+            self.results = ctx.Queue()
+            self._spawn = lambda i: _ProcessWorker(i, self.results, ctx)
+        else:
+            self.results = queue.Queue()
+            self._spawn = lambda i: _ThreadWorker(i, self.results)
+        self.size = processes or 1
+        self.workers = [self._spawn(i) for i in range(self.size)]
         self.respawns = 0
 
     def alive(self) -> list[bool]:
-        return [w.process.is_alive() for w in self.workers]
+        return [w.alive() for w in self.workers]
 
     def respawn(self, index: int) -> None:
-        """Replace a dead worker with a fresh (cold-cache) one."""
-        old = self.workers[index]
-        if old.process.is_alive():  # pragma: no cover - defensive
-            old.process.terminate()
-        old.process.join(timeout=1.0)
-        self.workers[index] = _Worker(self._ctx, index, self.results)
+        """Kill a dead or hung worker and replace it with a cold one."""
+        self.workers[index].kill()
+        self.workers[index] = self._spawn(index)
         self.respawns += 1
 
     def close(self) -> None:
@@ -270,70 +329,7 @@ class _WorkerPool:
             except Exception:  # pragma: no cover - already torn down
                 pass
         for worker in self.workers:
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-
-
-class _InlineRunner:
-    """Inline analogue of a pool worker: a daemon thread owning the cache.
-
-    Inline execution cannot kill a hung unit the way the pool kills a
-    process, so the unit runs on this thread and the dispatcher waits
-    on the results queue with the unit's deadline.  On a blown deadline
-    the dispatcher *abandons* the runner — sets ``abandoned`` so a late
-    result is discarded, leaves the daemon thread to finish or leak —
-    and replaces it with a fresh runner (and fresh cache): the inline
-    kill+respawn, at the cost of a cold cache.
-    """
-
-    def __init__(self, cache: dict):
-        self.cache = cache
-        self.tasks: queue.Queue = queue.Queue()
-        self.results: queue.Queue = queue.Queue()
-        self.abandoned = threading.Event()
-        self.thread = threading.Thread(
-            target=self._loop, daemon=True, name="sweep-inline-runner"
-        )
-        self.thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            msg = self.tasks.get()
-            if msg is None:
-                return
-            job, unit, engine, profile = msg
-            try:
-                with job.tracer.span(
-                    "unit",
-                    parent=job.span,
-                    scenarios=len(unit),
-                    mode="inline",
-                ) as unit_span:
-                    unit_rows = execute_unit(
-                        unit,
-                        engine,
-                        cache=self.cache,
-                        shard=0,
-                        profile=profile,
-                        tracer=job.tracer,
-                        parent=unit_span,
-                    )
-            except BaseException as exc:  # pragma: no cover - defensive
-                unit_rows = []
-                for scenario in unit:
-                    row = _scenario_row(scenario, 0)
-                    row["status"] = "error"
-                    row["error"] = f"{type(exc).__name__}: {exc}"
-                    unit_rows.append(row)
-            if self.abandoned.is_set():
-                return
-            self.results.put(([s.index for s in unit], unit_rows))
-
-    def close(self) -> None:
-        self.tasks.put(None)
-        self.thread.join(timeout=1.0)
+            worker.join()
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +370,8 @@ class Job:
         self.cancel_event = threading.Event()
         self.done_event = threading.Event()
         # Structured trace: the dispatcher-side tracer plus span dicts
-        # shipped back from pool workers (already tagged with trace_id
-        # == job id, so merging is a plain extend).
+        # shipped back from workers (already tagged with trace_id ==
+        # job id, so merging is a plain extend).
         self.tracer: Tracer | None = None
         self.span: Any = None
         self.worker_spans: list[dict[str, Any]] = []
@@ -456,11 +452,11 @@ class Job:
 class JobService:
     """The campaign service core (see module docstring).
 
-    ``workers=0`` (or 1) executes jobs inline in the dispatcher thread
-    — same semantics, no subprocesses — which is also the mode the
-    one-shot CLI uses for serial runs.  *store* enables result-store
-    dedup: pass a :class:`ResultStore`, a path for a persisted JSONL
-    store, or ``True`` for an in-memory one.
+    ``workers=0`` (or 1) executes jobs inline on one thread worker —
+    same scheduler and semantics, no subprocesses — which is also the
+    mode the one-shot CLI uses for serial runs.  *store* enables
+    result-store dedup: pass a :class:`ResultStore`, a path for a
+    persisted JSONL store, or ``True`` for an in-memory one.
 
     Resilience knobs: *retries* is the default retry budget for
     retryable failures (spec/submit values win); *default_timeout_s*
@@ -513,8 +509,6 @@ class JobService:
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._pool: _WorkerPool | None = None
-        self._inline_cache: dict = {}
-        self._inline_runner: _InlineRunner | None = None
         self._dispatcher: threading.Thread | None = None
         self._closed = False
         self._draining = False
@@ -634,9 +628,6 @@ class JobService:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self._inline_runner is not None:
-            self._inline_runner.close()
-            self._inline_runner = None
 
     def shutdown(
         self, drain: bool = True, timeout: float | None = None
@@ -699,8 +690,8 @@ class JobService:
             )
             self._dispatcher.start()
 
-    def _ensure_pool(self) -> _WorkerPool | None:
-        if self.pool_size and self._pool is None:
+    def _ensure_pool(self) -> _WorkerPool:
+        if self._pool is None:
             self._pool = _WorkerPool(self.pool_size)
         return self._pool
 
@@ -771,6 +762,11 @@ class JobService:
             spec = load_spec(spec)
         elif isinstance(spec, Mapping):
             spec = from_dict(spec)
+        elif not isinstance(spec, CampaignSpec):
+            raise SpecError(
+                "spec must be a mapping, CampaignSpec or path, got "
+                f"{type(spec).__name__}", path="spec",
+            )
         if self.max_scenarios_per_job is not None and (
             len(spec.scenarios) > self.max_scenarios_per_job
         ):
@@ -858,7 +854,7 @@ class JobService:
             states: dict[str, int] = {}
             for job in self._jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
-        pool = self._pool
+        pool = self._pool if self.pool_size else None  # processes only
         lookups = self.dedup_hits + self.dedup_misses
         queued = states.get("queued", 0)
         return {
@@ -915,7 +911,7 @@ class JobService:
                 1 for job in self._jobs.values() if job.state == "queued"
             )
         self._m_queue_depth.set(depth)
-        pool = self._pool
+        pool = self._pool if self.pool_size else None  # processes only
         self._m_workers_alive.set(
             sum(pool.alive()) if pool is not None else 0
         )
@@ -926,7 +922,7 @@ class JobService:
 
         Spans follow the schema in :mod:`repro.obs.trace`: job -> unit
         -> scenario -> build/simulate/metrics, every span carrying the
-        job id as ``trace_id`` and pool-worker spans tagged
+        job id as ``trace_id`` and worker-side spans tagged
         ``worker=<index>``.  Safe to call while the job is running —
         returns the spans finished so far.
         """
@@ -1032,10 +1028,8 @@ class JobService:
                 )
                 job.done_event.set()
 
-    def _cancelled_row(
-        self, scenario, shard: int | None = None
-    ) -> dict[str, Any]:
-        row = _scenario_row(scenario, shard)
+    def _cancelled_row(self, scenario) -> dict[str, Any]:
+        row = _scenario_row(scenario, None)
         row["status"] = "cancelled"
         row["error"] = "job cancelled before this scenario ran"
         return row
@@ -1077,11 +1071,7 @@ class JobService:
                 self.dedup_misses += 1
                 self._m_dedup.inc(result="miss")
             pending.append(scenario)
-        if pending:
-            if self._ensure_pool() is not None:
-                self._run_pooled(job, pending, rows)
-            else:
-                self._run_inline(job, pending, rows)
+        self._run_units(job, pending, rows)
         if self.store is not None:
             for scenario in pending:
                 row = rows.get(scenario.index)
@@ -1229,101 +1219,28 @@ class JobService:
             sink(scenario.index, row)
         return False
 
-    def _ensure_inline_runner(self) -> _InlineRunner:
-        if self._inline_runner is None:
-            self._inline_runner = _InlineRunner(self._inline_cache)
-        return self._inline_runner
-
-    def _abandon_inline_runner(self) -> None:
-        """Inline kill+respawn: discard the hung runner and its cache.
-
-        The runner thread cannot be killed; it is left to finish (or
-        leak, as a daemon) with ``abandoned`` set so its late result —
-        and any result put racing the abandonment — lands on a queue
-        nobody reads.  The next unit gets a fresh runner and a fresh
-        (cold) cache, exactly like a pool respawn.
-        """
-        runner = self._inline_runner
-        if runner is not None:
-            runner.abandoned.set()
-        self._inline_cache = {}
-        self._inline_runner = None
-
     # -- execution ------------------------------------------------------
 
-    def _run_inline(self, job: Job, pending, rows) -> None:
-        """Dispatcher-thread execution with the service-lifetime cache.
-
-        Units actually execute on the :class:`_InlineRunner` thread so
-        a deadline can be enforced (the dispatcher waits on the result
-        queue with the unit's timeout and abandons blown runners).
-        Cancellation is checked between units: an in-flight ensemble
-        batch finishes (its lanes are one simulation), queued units are
-        reported ``status="cancelled"``.  Retried units go to the back
-        of the queue, so siblings run during the backoff.
-        """
-        total = len(job.spec.scenarios)
-        work: deque = deque(
-            (unit, 1, 0.0) for unit in plan_units(pending, self.ensemble)
-        )
-
-        def requeue(unit, attempt, ready):
-            work.append((unit, attempt, ready))
-
-        def finalize(index, row):
-            rows[index] = row
-            self._note_row(job, row, total)
-
-        while work:
-            if job.cancel_event.is_set():
-                while work:
-                    unit, _attempt, _ready = work.popleft()
-                    for scenario in unit:
-                        row = self._cancelled_row(scenario)
-                        rows[scenario.index] = row
-                        self._note_row(job, row, total)
-                return
-            unit, attempt, ready = work.popleft()
-            wait = ready - time.time()
-            if wait > 0:
-                time.sleep(wait)
-            runner = self._ensure_inline_runner()
-            deadline = self._unit_deadline(job, unit)
-            runner.tasks.put((job, unit, job.engine, job.profile))
-            try:
-                _indices, unit_rows = runner.results.get(timeout=deadline)
-            except queue.Empty:
-                self._abandon_inline_runner()
-                self._fail_unit(
-                    job, unit, attempt, "timeout",
-                    f"unit blew its {deadline:.1f}s deadline "
-                    "(inline runner abandoned)",
-                    shard=0, sink=finalize, retry=requeue,
-                )
-                continue
-            for row in unit_rows:
-                row["attempts"] = attempt
-                if attempt > 1:
-                    self._m_retries.inc(
-                        outcome=str(row.get("status", "unknown"))
-                    )
-                rows[row["index"]] = row
-                self._note_row(job, row, total)
-
-    def _run_pooled(self, job: Job, pending, rows) -> None:
-        """Affinity-routed execution across the persistent worker pool.
+    def _run_units(self, job: Job, pending, rows) -> None:
+        """Affinity-routed execution of *pending* across the worker pool.
 
         Units (not single scenarios) are the message granularity: every
-        scenario in a unit shares one design key, so affinity routing
-        is unchanged — the whole batch lands on the worker holding that
-        design.  The dispatcher is also the watchdog: each poll-timeout
+        scenario in a unit shares one design key, so the whole batch
+        lands on the worker holding that design, one unit in flight per
+        worker.  The dispatcher is also the watchdog: each poll-timeout
         tick it checks every in-flight unit's worker for death and its
         deadline for expiry; either verdict fails (or retries) the
-        whole unit and respawns the worker.  Retried units are routed
-        off the affinity worker (``+ attempt - 1`` rotation) — dodging
-        both a possibly poisoned cache and the cold respawn.
+        whole unit and respawns the worker (kill + cold replacement).
+        Retried units are routed off the affinity worker (``+ attempt -
+        1`` rotation) — dodging both a possibly poisoned cache and the
+        cold respawn — and go to the back of that worker's backlog, so
+        siblings run during the backoff.  Cancellation stops dispatch:
+        in-flight units finish (an ensemble's lanes are one
+        simulation), queued ones are reported ``status="cancelled"``.
         """
-        pool = self._pool
+        if not pending:
+            return
+        pool = self._ensure_pool()
 
         def route(unit, attempt: int) -> int:
             return (
@@ -1338,11 +1255,7 @@ class JobService:
         inflight: dict[int, tuple] = {}
         remaining = len(pending)
         total = len(job.spec.scenarios)
-        opts = {
-            "profile": job.profile,
-            "trace_id": job.id,
-            "parent": job.span.span_id if job.span is not None else None,
-        }
+        opts = {"profile": job.profile, "parent": job.span.span_id}
 
         def account(index: int, row: dict[str, Any]) -> None:
             nonlocal remaining
@@ -1384,30 +1297,32 @@ class JobService:
                 )
             except queue.Empty:
                 now = time.time()
-                for i in list(inflight):
-                    unit, attempt, deadline, timeout_s = inflight[i]
+                for i, (unit, attempt, deadline, timeout_s) in list(
+                    inflight.items()
+                ):
                     worker = pool.workers[i]
-                    if not worker.process.is_alive():
-                        inflight.pop(i)
-                        self._fail_unit(
-                            job, unit, attempt, "worker-failed",
-                            f"worker {i} died (exit code "
-                            f"{worker.process.exitcode})",
-                            shard=i, sink=account, retry=requeue,
+                    if not worker.alive():
+                        status = "worker-failed"
+                        message = (
+                            f"worker {i} died (exit code {worker.exitcode})"
                         )
-                        pool.respawn(i)
-                        self._m_respawns.inc()
                     elif deadline is not None and now > deadline:
-                        inflight.pop(i)
-                        worker.process.kill()
-                        self._fail_unit(
-                            job, unit, attempt, "timeout",
+                        status = "timeout"
+                        message = (
                             f"unit blew its {timeout_s:.1f}s deadline on "
-                            f"worker {i} (worker killed and respawned)",
-                            shard=i, sink=account, retry=requeue,
+                            f"worker {i} (worker {worker.kill_verb} and "
+                            "respawned)"
                         )
-                        pool.respawn(i)
+                    else:
+                        continue
+                    del inflight[i]
+                    pool.respawn(i)
+                    if pool.processes:
                         self._m_respawns.inc()
+                    self._fail_unit(
+                        job, unit, attempt, status, message,
+                        shard=i, sink=account, retry=requeue,
+                    )
                 continue
             entry = inflight.get(widx)
             if entry is not None and (

@@ -6,8 +6,8 @@ The service-level acceptance properties live here:
   zero simulated scenarios (100% dedup hits) and bit-identical
   per-scenario metrics;
 * design caches survive across jobs (the cross-job extension of the
-  per-campaign reuse the runner always had), in both inline and
-  pooled mode;
+  per-campaign reuse the runner always had), under both worker kinds
+  (thread and process);
 * a worker process that dies fails only its in-flight scenario — the
   pool respawns the worker and the job (and later jobs) complete.
 """
@@ -603,8 +603,9 @@ class TestObservability:
         starts = [s["start_unix"] for s in spans]
         assert starts == sorted(starts)
 
-    def test_pooled_trace_merges_worker_spans(self):
-        with JobService(workers=2) as service:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_trace_merges_worker_spans(self, workers):
+        with JobService(workers=workers) as service:
             job_id = service.submit(SMALL_CAMPAIGN)
             service.result(job_id)
             spans = service.trace(job_id)
@@ -623,6 +624,9 @@ class TestObservability:
         assert all(
             u["parent_id"] == job_span["span_id"] for u in unit_spans
         )
+        assert {u["attrs"]["mode"] for u in unit_spans} == {
+            "inline" if workers == 0 else "pool"
+        }
 
     def test_cached_rows_emit_events_and_spans(self):
         with JobService(workers=0, store=True) as service:

@@ -4,7 +4,7 @@ The acceptance properties of the fault-tolerant service:
 
 * a deliberately hung scenario is killed at its deadline, lands as
   ``status="timeout"`` after exhausting retries, and its siblings all
-  complete — inline and pooled;
+  complete — under thread and process workers alike;
 * retried-then-ok rows are bit-identical to first-try rows
   (``canonical_report`` equality; ``attempts`` is volatile);
 * admission control rejects over-quota submissions with a structured
@@ -63,9 +63,9 @@ def temp_family():
             _REGISTRY.pop(name, None)
 
 
-# Inline mode cannot kill a hung unit — it abandons the runner thread.
+# A thread worker cannot be killed at a deadline — it is abandoned.
 # The hung families below block on this event so abandoned zombies
-# unwind promptly once the test releases them (pooled workers are
+# unwind promptly once the test releases them (process workers are
 # simply SIGKILLed; the event never fires in the child).
 _UNBLOCK = threading.Event()
 
@@ -218,19 +218,31 @@ class TestDerivedDeadline:
             assert service._unit_deadline(job, list(spec.scenarios)) is None
 
 
-class TestTimeoutInline:
+#: Both worker kinds of the one scheduler: a thread worker (workers=0)
+#: is abandoned at its deadline, a process worker (workers=2) killed.
+WORKER_KINDS = [
+    pytest.param(0, 0.5, id="0"),
+    pytest.param(2, 0.75, id="2", marks=fork_only),
+]
+
+
+@pytest.mark.parametrize("workers, timeout_s", WORKER_KINDS)
+class TestTimeout:
     def test_hung_scenario_times_out_siblings_complete(
-        self, temp_family, unblock_hung
+        self, temp_family, unblock_hung, workers, timeout_s
     ):
         temp_family(Family(
             name="_hangs", build=_build_tiny_chain, run=_run_hang,
             reusable=False,
         ))
-        with JobService(workers=0) as service:
-            job_id = service.submit(_hung_spec(timeout_s=0.5), retries=0)
-            report = service.result(job_id, timeout=60)
+        with JobService(workers=workers) as service:
+            job_id = service.submit(
+                _hung_spec(timeout_s=timeout_s), retries=0
+            )
+            report = service.result(job_id, timeout=120)
+            stats = service.stats()
             events = list(service.events(job_id, timeout=5))
-            # The service survives: a later job on the fresh runner
+            # The service survives: a later job on the fresh worker
             # completes normally.
             again = service.result(service.submit({
                 "campaign": {"name": "after", "seed": 9},
@@ -254,17 +266,21 @@ class TestTimeoutInline:
         assert again["summary"]["failed"] == 0
         text = service.render_metrics()
         assert "repro_scenario_timeouts_total 1" in text
+        if workers == 2:
+            assert "killed" in hung["error"]
+            assert stats["workers"]["respawns"] == 1
+            assert all(stats["workers"]["alive"])
 
     def test_retry_budget_exhausted_counts_attempts(
-        self, temp_family, unblock_hung
+        self, temp_family, unblock_hung, workers, timeout_s
     ):
         temp_family(Family(
             name="_hangs", build=_build_tiny_chain, run=_run_hang,
             reusable=False,
         ))
-        with JobService(workers=0, retries=1) as service:
-            job_id = service.submit(_hung_spec(timeout_s=0.5))
-            report = service.result(job_id, timeout=60)
+        with JobService(workers=workers, retries=1) as service:
+            job_id = service.submit(_hung_spec(timeout_s=timeout_s))
+            report = service.result(job_id, timeout=120)
             events = list(service.events(job_id, timeout=5))
         hung = [r for r in report["scenarios"] if r["family"] == "_hangs"]
         assert hung[0]["status"] == "timeout"
@@ -274,30 +290,6 @@ class TestTimeoutInline:
         assert retry_events[0]["reason"] == "timeout"
         watchdog = [e for e in events if e["event"] == "watchdog"]
         assert [e["retrying"] for e in watchdog] == [True, False]
-
-
-class TestTimeoutPooled:
-    @fork_only
-    def test_hung_worker_killed_and_respawned(
-        self, temp_family, unblock_hung
-    ):
-        temp_family(Family(
-            name="_hangs", build=_build_tiny_chain, run=_run_hang,
-            reusable=False,
-        ))
-        with JobService(workers=2, retries=0) as service:
-            job_id = service.submit(_hung_spec(timeout_s=0.75))
-            report = service.result(job_id, timeout=120)
-            stats = service.stats()
-            events = list(service.events(job_id, timeout=5))
-        rows = {r["family"]: r for r in report["scenarios"]}
-        assert rows["_hangs"]["status"] == "timeout"
-        assert "killed" in rows["_hangs"]["error"]
-        assert rows["mt_chain"]["status"] == "ok"
-        assert stats["workers"]["respawns"] == 1
-        assert all(stats["workers"]["alive"])
-        watchdog = [e for e in events if e["event"] == "watchdog"]
-        assert watchdog and watchdog[0]["reason"] == "timeout"
 
 
 class TestRetryCanonicalEquality:

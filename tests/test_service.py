@@ -9,7 +9,10 @@ repro.serve --workers 0 --memory-store`` produces, minus the process.
 from __future__ import annotations
 
 import json
+import pathlib
 import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -19,7 +22,12 @@ from repro.sweep.jobs import JobService
 from repro.sweep.registry import _REGISTRY, Family, register_family, registry_payload
 from repro.sweep.report import canonical_report
 from repro.sweep.runner import run_campaign
-from repro.sweep.spec import from_dict
+from repro.sweep.spec import SpecError, from_dict
+
+PAPER_SWEEP = (
+    pathlib.Path(__file__).resolve().parents[1]
+    / "examples" / "campaigns" / "paper_sweep.toml"
+)
 
 CAMPAIGN = {
     "campaign": {"name": "http-test", "seed": 5, "workers": 2},
@@ -54,6 +62,19 @@ def service_client():
         server.server_close()
         service.close()
         thread.join(timeout=5)
+
+
+def _post_raw(client, path, body: bytes):
+    """POST raw bytes; returns (status, decoded JSON body)."""
+    request = urllib.request.Request(
+        f"{client.base_url}{path}", data=body, method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
 
 
 class TestRoutes:
@@ -143,6 +164,42 @@ class TestRoutes:
         assert error["path"] == "scenarios[0]"
         assert error["field"] == "family"
         assert "family" in error["reason"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"[1, 2]", b"null", b"3", json.dumps(str(PAPER_SWEEP)).encode()],
+        ids=["list", "null", "number", "path-string"],
+    )
+    def test_non_object_body_is_structured_400(self, service_client, body):
+        client, service = service_client
+        status, payload = _post_raw(client, "/campaigns", body)
+        assert status == 400
+        assert payload["error"]["path"] == "spec"
+        assert "object" in payload["error"]["reason"]
+        # A JSON string is never read as a server-side spec file.
+        assert service.list_jobs() == []
+
+    @pytest.mark.parametrize("wait", ["abc", "nan", "inf", "-inf"])
+    def test_non_finite_wait_is_structured_400(self, service_client, wait):
+        client, _service = service_client
+        job_id = client.submit(CAMPAIGN)["id"]
+        client.report(job_id, wait=60)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", f"/campaigns/{job_id}/report?wait={wait}")
+        assert excinfo.value.status == 400
+        error = excinfo.value.payload["error"]
+        assert error["field"] == "wait"
+        assert wait in error["reason"]
+
+
+@pytest.mark.parametrize("spec", [[1, 2], None, 3, b"{}"])
+def test_submit_rejects_non_spec_types(spec):
+    with JobService(workers=0) as service:
+        with pytest.raises(SpecError) as excinfo:
+            service.submit(spec)
+    assert excinfo.value.path == "spec"
+    assert "mapping, CampaignSpec or path" in excinfo.value.reason
+    assert service.list_jobs() == []
 
 
 class TestParity:

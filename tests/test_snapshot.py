@@ -271,3 +271,26 @@ def test_md5_fork_mid_wave_matches_uninterrupted():
         for _t, state in second
     ]
     assert digests == [hashlib.md5(m).hexdigest() for m in msgs]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("round_stages", [1, 4])
+@pytest.mark.parametrize("after", ["rebuild", "profile"])
+def test_md5_restore_then_recompile(engine, round_stages, after):
+    """A restore followed by an engine rebuild (directly, or through
+    the profiler attaching) keeps the barrier's release callback wired
+    to the live circuit, so the round counter and the stages agree."""
+    from repro.apps.md5 import MD5Hasher
+
+    msgs = [b"abc", b"restore", b"x" * 70, b""]
+    hasher = MD5Hasher(threads=4, round_stages=round_stages, engine=engine)
+    sim = hasher.circuit.sim
+    sim.restore(sim.snapshot())
+    if after == "rebuild":
+        sim.rebuild()
+        digests = hasher.hash_batch(msgs)
+    else:
+        with sim.profile() as prof:
+            digests = hasher.hash_batch(msgs)
+        assert prof.report()["cycles"]["total"] > 0
+    assert digests == [hashlib.md5(m).hexdigest() for m in msgs]

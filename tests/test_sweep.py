@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from repro.sweep import (
-    SweepSpecError,
+    SpecError,
     family_names,
     get_family,
     load_spec,
@@ -118,24 +118,20 @@ class TestSpec:
         assert adhoc.key == declared.key
 
     def test_spec_errors(self):
-        with pytest.raises(SweepSpecError):
+        with pytest.raises(SpecError):
             from_dict({"campaign": {}})  # no scenarios
-        with pytest.raises(SweepSpecError):
+        with pytest.raises(SpecError):
             from_dict({"scenarios": [{"params": {}}]})  # no family
-        with pytest.raises(SweepSpecError):
+        with pytest.raises(SpecError):
             from_dict(
                 {"scenarios": [{"family": "x", "grid": {"threads": []}}]}
             )
-        with pytest.raises(SweepSpecError):
+        with pytest.raises(SpecError):
             from_dict(
                 {"scenarios": [{"family": "x", "typo_block": {}}]}
             )
 
     def test_spec_errors_are_structured(self):
-        from repro.sweep.spec import SpecError
-
-        # SweepSpecError is the backwards-compatible alias.
-        assert SpecError is SweepSpecError
         with pytest.raises(SpecError) as excinfo:
             from_dict({"scenarios": [{"params": {}}]})
         err = excinfo.value
