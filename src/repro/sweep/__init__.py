@@ -28,15 +28,7 @@ CLI: ``python -m repro.sweep run <spec> [--workers N]``.
 Service: ``python -m repro.serve [--port P] [--workers N]``.
 """
 
-from repro.sweep.jobs import (
-    JobService,
-    QuotaError,
-    cancel,
-    job_result,
-    job_status,
-    list_families,
-    submit_campaign,
-)
+from repro.sweep.jobs import JobService, QuotaError
 from repro.sweep.registry import (
     family_names,
     get_family,
@@ -62,18 +54,13 @@ __all__ = [
     "ScenarioSpec",
     "SpecError",
     "aggregate",
-    "cancel",
     "canonical_report",
     "family_names",
     "get_family",
-    "job_result",
-    "job_status",
-    "list_families",
     "load_spec",
     "make_scenario",
     "register_family",
     "registry_payload",
     "render_markdown",
     "run_campaign",
-    "submit_campaign",
 ]

@@ -29,8 +29,8 @@ import argparse
 import json
 import sys
 
-from repro.sweep.jobs import JobService, list_families
-from repro.sweep.registry import get_family
+from repro.sweep.jobs import JobService
+from repro.sweep.registry import get_family, registry_payload
 from repro.sweep.report import write_report
 from repro.sweep.spec import SpecError, load_spec
 
@@ -134,7 +134,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_families(args: argparse.Namespace) -> int:
-    payload = list_families()
+    payload = registry_payload()
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK
@@ -163,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--workers", type=int, default=None,
                        help="process count (default: spec's campaign.workers)")
     p_run.add_argument("--engine", default=None,
-                       help="settle engine override (naive/event/compiled)")
+                       help="settle engine override (compiled/naive)")
     p_run.add_argument("--out", default="sweep-results",
                        help="output directory (default: sweep-results)")
     p_run.add_argument("--name", default="campaign",

@@ -81,12 +81,12 @@ from typing import Any, Mapping
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sweep.report import aggregate
-from repro.sweep.registry import registry_payload
 from repro.sweep.runner import _scenario_row, execute_unit, plan_units
 from repro.sweep.spec import (
     CampaignSpec,
     SpecError,
-    _retries_value,
+    _engine_value,
+    _int_value,
     _timeout_value,
     from_dict,
     load_spec,
@@ -483,7 +483,7 @@ class JobService:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.pool_size = workers if workers > 1 else 0
-        self.engine = engine
+        self.engine = _engine_value(engine, path="service")
         # Lockstep-batching policy for every job this service runs:
         # "auto" (default cap), "off", or an integer lane cap.  Reports
         # are bit-identical either way; see repro.sweep.runner.
@@ -725,7 +725,8 @@ class JobService:
         *spec* may be a :class:`CampaignSpec`, a plain mapping (the
         JSON/TOML structure) or a spec file path.  Malformed specs
         raise :class:`repro.sweep.spec.SpecError` here, synchronously —
-        a queued job is always runnable — and over-quota submissions
+        a queued job is always runnable; so does an *engine* not in
+        :data:`repro.kernel.ENGINES` — and over-quota submissions
         raise :class:`QuotaError`.  *engine* overrides the spec's
         engine; *workers* is recorded (the service's pool is fixed at
         construction, so it caps the actual parallelism); *profile*
@@ -736,8 +737,10 @@ class JobService:
         """
         if self._closed:
             raise RuntimeError("JobService is closed")
+        engine = _engine_value(engine, path="submit")
         timeout_s = _timeout_value(timeout_s, path="submit")
-        retries = _retries_value(retries, path="submit")
+        retries = _int_value(retries, None, field="retries", path="submit",
+                             minimum=0)
         with self._lock:
             draining = self._draining
             queued = sum(
@@ -1344,76 +1347,3 @@ class JobService:
                     )
                 account(sidx, row)
         self._m_inflight.set(0)
-
-
-# ----------------------------------------------------------------------
-# module-level convenience API (a lazily created default service)
-# ----------------------------------------------------------------------
-
-_default_service: JobService | None = None
-_default_lock = threading.Lock()
-
-
-def default_service() -> JobService:
-    """The process-wide default (inline, store-less) service."""
-    global _default_service
-    with _default_lock:
-        if _default_service is None or _default_service._closed:
-            _default_service = JobService(workers=0)
-        return _default_service
-
-
-def configure(
-    workers: int = 0,
-    engine: str | None = None,
-    store: ResultStore | str | pathlib.Path | bool | None = None,
-    ensemble: Any = "auto",
-    profile: bool = False,
-) -> JobService:
-    """Replace the default service (closing any previous one)."""
-    global _default_service
-    with _default_lock:
-        if _default_service is not None:
-            _default_service.close()
-        _default_service = JobService(
-            workers=workers, engine=engine, store=store, ensemble=ensemble,
-            profile=profile,
-        )
-        return _default_service
-
-
-def submit_campaign(
-    spec: CampaignSpec | Mapping[str, Any] | str | pathlib.Path,
-    workers: int | None = None,
-    engine: str | None = None,
-    timeout_s: float | None = None,
-    retries: int | None = None,
-) -> str:
-    """Submit a campaign to the default service; returns the job id."""
-    return default_service().submit(
-        spec, workers=workers, engine=engine, timeout_s=timeout_s,
-        retries=retries,
-    )
-
-
-def job_status(job_id: str) -> dict[str, Any]:
-    """Status snapshot of a default-service job."""
-    return default_service().status(job_id)
-
-
-def job_result(
-    job_id: str, wait: bool = True, timeout: float | None = None
-) -> dict[str, Any]:
-    """Aggregated report of a default-service job (blocking by default)."""
-    return default_service().result(job_id, wait=wait, timeout=timeout)
-
-
-def cancel(job_id: str) -> bool:
-    """Cancel a default-service job."""
-    return default_service().cancel(job_id)
-
-
-def list_families() -> dict[str, Any]:
-    """The design-family registry payload (same structure ``/families``
-    serves and ``families --json`` prints)."""
-    return registry_payload()

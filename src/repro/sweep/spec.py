@@ -28,6 +28,8 @@ import json
 import pathlib
 from typing import Any, Mapping
 
+from repro.kernel.engine import ENGINES
+
 try:  # Python 3.11+
     import tomllib
 except ModuleNotFoundError:  # pragma: no cover - py3.10 fallback path
@@ -80,19 +82,48 @@ def _timeout_value(
     return timeout
 
 
-def _retries_value(value: Any, *, path: str = "campaign") -> int | None:
-    """Validate a retry budget: a non-negative integer or None."""
+def _int_value(
+    value: Any,
+    default: int | None,
+    *,
+    field: str,
+    path: str = "campaign",
+    minimum: int | None = None,
+) -> int | None:
+    """Validate an optional integer (bools rejected); None is *default*."""
     if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(
-            "must be a non-negative integer", path=path, field="retries"
-        )
-    if value < 0:
-        raise SpecError(
-            "must be a non-negative integer", path=path, field="retries"
-        )
+        return default
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        need = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise SpecError(f"must be {need}", path=path, field=field)
     return value
+
+
+def _table_value(
+    value: Any, *, path: str, field: str | None = None
+) -> dict[str, Any]:
+    """Validate an optional table: a mapping (copied) or None (empty)."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise SpecError("must be a table/dict", path=path, field=field)
+    return dict(value)
+
+
+def _engine_value(value: Any, *, path: str = "campaign") -> str | None:
+    """Validate a settle-engine name: one of :data:`ENGINES` or None."""
+    if value is None or value in ENGINES:
+        return value
+    raise SpecError(
+        f"unknown settle engine {value!r}; expected one of "
+        f"{', '.join(ENGINES)}",
+        path=path,
+        field="engine",
+    )
 
 
 def _canon_value(value: Any) -> str:
@@ -191,14 +222,18 @@ def _expand_template(
     if not isinstance(template, Mapping):
         raise SpecError("expected a table/dict", path=where)
     family = template.get("family")
-    if not family or not isinstance(family, str):
+    if family is None:
         raise SpecError(
             "missing required key 'family'", path=where, field="family"
         )
-    base_params = dict(template.get("params") or {})
-    grid = dict(template.get("grid") or {})
-    stimulus = dict(template.get("stimulus") or {})
-    metrics = dict(template.get("metrics") or {})
+    if not family or not isinstance(family, str):
+        raise SpecError(
+            "must be a non-empty string", path=where, field="family"
+        )
+    base_params, grid, stimulus, metrics = (
+        _table_value(template.get(key), path=where, field=key)
+        for key in ("params", "grid", "stimulus", "metrics")
+    )
     timeout_s = _timeout_value(template.get("timeout_s"), path=where)
     unknown = set(template) - {
         "family", "params", "grid", "stimulus", "metrics", "timeout_s",
@@ -250,23 +285,27 @@ def from_dict(data: Mapping[str, Any]) -> CampaignSpec:
     """Build a fully expanded :class:`CampaignSpec` from plain data."""
     if not isinstance(data, Mapping):
         raise SpecError("campaign spec must be a mapping", path="spec")
-    campaign = dict(data.get("campaign") or {})
+    campaign = _table_value(data.get("campaign"), path="spec",
+                            field="campaign")
     templates = data.get("scenarios")
     if not templates:
         raise SpecError(
             "spec has no [[scenarios]] entries", path="spec",
             field="scenarios",
         )
+    if not isinstance(templates, (list, tuple)):
+        raise SpecError(
+            "must be a list of scenario tables", path="spec",
+            field="scenarios",
+        )
     name = str(campaign.get("name") or "campaign")
-    seed = int(campaign.get("seed", 0))
-    engine = campaign.get("engine")
-    if engine is not None:
-        engine = str(engine)
-    workers = int(campaign.get("workers", 1))
-    if workers < 0:
-        raise SpecError("must be >= 0", field="workers")
+    seed = _int_value(campaign.get("seed"), 0, field="seed")
+    engine = _engine_value(campaign.get("engine"))
+    workers = _int_value(campaign.get("workers"), 1, field="workers",
+                         minimum=0)
     timeout_s = _timeout_value(campaign.get("timeout_s"), path="campaign")
-    retries = _retries_value(campaign.get("retries"))
+    retries = _int_value(campaign.get("retries"), None, field="retries",
+                         minimum=0)
     entries: list[dict[str, Any]] = []
     for position, template in enumerate(templates):
         entries.extend(_expand_template(template, position))

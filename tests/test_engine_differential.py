@@ -1,16 +1,16 @@
-"""Differential validation: event and compiled engines vs. naive oracle.
+"""Differential validation: the compiled engine vs. the naive oracle.
 
 The naive whole-design fixed-point loop is the semantics oracle; the
-event engine *and* the slot-compiled engine must be indistinguishable
-from it at cycle granularity.  Every network family in the repo is
-built once per engine and driven for the same number of cycles while
-*every signal in the design* is sampled after each settle.  The traces
-must match value-for-value, cycle-for-cycle, three ways.
+slot-compiled engine must be indistinguishable from it at cycle
+granularity.  Every network family in the repo is built once per engine
+and driven for the same number of cycles while *every signal in the
+design* is sampled after each settle.  The traces must match
+value-for-value, cycle-for-cycle.
 
 Also covered here: ConvergenceError parity on deliberate combinational
-loops (both for undeclared components, which take the engines' naive
-fallback path, and for declared components, which take the SCC worklist
-path), slot-store edge cases (X-valued slots, ``invalidate()`` after
+loops (both for undeclared components, which take the compiled engine's
+naive fallback path, and for declared components, which take the SCC
+worklist path), slot-store edge cases (X-valued slots, ``invalidate()`` after
 finalize, ``declare_volatile``), engine selection plumbing, and
 replaying the shipped examples under every engine via the
 ``REPRO_SIM_ENGINE`` environment variable.
@@ -51,7 +51,7 @@ from repro.netlist import DataflowGraph, elaborate
 
 from tests.conftest import make_mt_pipeline
 
-ENGINES = ("naive", "event", "compiled")
+ENGINES = ("naive", "compiled")
 
 #: The trace/application differentials additionally pin the compiled
 #: engine with its tick-phase compilation force-disabled, so the legacy
@@ -293,7 +293,7 @@ class TestApplications:
     )
     def test_processor_each_program_identical(self, program):
         """Per-program RunStats and architectural state pinned across
-        naive/event/compiled/compiled-noseq (the slot-ported stages must
+        naive/compiled/compiled-noseq (the slot-ported stages must
         be cycle-exact for every instruction class, not just the mix)."""
         results = {}
         for variant in TICK_VARIANTS:
@@ -381,29 +381,6 @@ class TestConvergenceParity:
             sim.settle()
         assert exc.value.iterations == 7
         assert "osc.out" in exc.value.unstable
-
-    def test_cross_component_declared_loop_raises(self):
-        # A ring of an odd number of inverters has no stable point; the
-        # whole ring forms one SCC whose local worklist must give up.
-        class Inverter(Component):
-            def __init__(self, name):
-                super().__init__(name)
-                self.src = None
-                self.out = self.output("out", init=False)
-
-            def late_bind(self, sig):
-                self.src = sig
-                self.declare_reads(sig)
-
-            def combinational(self):
-                self.out.set(not self.src.value)
-
-        ring = [Inverter(f"inv{i}") for i in range(3)]
-        for i, inv in enumerate(ring):
-            inv.late_bind(ring[(i + 1) % 3].out)
-        sim = build(*ring, max_settle_iterations=9, engine="event")
-        with pytest.raises(ConvergenceError):
-            sim.settle()
 
     def test_cross_component_declared_loop_raises_compiled(self):
         class Inverter(Component):
@@ -553,8 +530,9 @@ class TestSlotStoreEdgeCases:
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(engine="quantum")
+        for name in ("quantum", "event"):
+            with pytest.raises(ValueError):
+                Simulator(engine=name)
 
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "naive")
@@ -566,8 +544,9 @@ class TestEngineSelection:
 
     def test_explicit_engine_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "naive")
-        assert Simulator(engine="event").engine_name == "event"
         assert Simulator(engine="compiled").engine_name == "compiled"
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
+        assert Simulator(engine="naive").engine_name == "naive"
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ import threading
 
 import pytest
 
-from repro.sweep import jobs as jobs_mod
 from repro.sweep.jobs import JobService, design_affinity
 from repro.sweep.registry import _REGISTRY, Family, register_family
 from repro.sweep.report import canonical_report
@@ -427,44 +426,6 @@ class TestCancel:
             job_id = service.submit(SMALL_CAMPAIGN)
             service.result(job_id)
             assert not service.cancel(job_id)
-
-
-class TestModuleLevelAPI:
-    def test_default_service_roundtrip(self):
-        previous = jobs_mod._default_service
-        jobs_mod._default_service = None
-        try:
-            job_id = jobs_mod.submit_campaign(SMALL_CAMPAIGN)
-            report = jobs_mod.job_result(job_id)
-            status = jobs_mod.job_status(job_id)
-            assert status["state"] == "done"
-            assert report["summary"]["ok"] == 3
-            assert not jobs_mod.cancel(job_id)
-            families = jobs_mod.list_families()
-            assert "mt_chain" in families["families"]
-        finally:
-            if jobs_mod._default_service is not None:
-                jobs_mod._default_service.close()
-            jobs_mod._default_service = previous
-
-    def test_configure_replaces_default(self):
-        previous = jobs_mod._default_service
-        jobs_mod._default_service = None
-        try:
-            service = jobs_mod.configure(workers=0, store=True)
-            assert jobs_mod.default_service() is service
-            first = jobs_mod.job_result(
-                jobs_mod.submit_campaign(SMALL_CAMPAIGN)
-            )
-            warm = jobs_mod.job_result(
-                jobs_mod.submit_campaign(SMALL_CAMPAIGN)
-            )
-            assert first["summary"]["ok"] == 3
-            assert warm["summary"]["dedup_hits"] == 3
-        finally:
-            if jobs_mod._default_service is not None:
-                jobs_mod._default_service.close()
-            jobs_mod._default_service = previous
 
 
 class TestRunCampaignCompat:

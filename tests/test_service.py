@@ -202,6 +202,73 @@ def test_submit_rejects_non_spec_types(spec):
     assert service.list_jobs() == []
 
 
+_SCENARIO = {"family": "mt_chain", "grid": {"threads": [2, 4]}}
+
+#: Malformed spec bodies (wrong shapes, an unknown engine), with the
+#: (path, field) each must be diagnosed at.
+MALFORMED_SPECS = [
+    pytest.param({"campaign": [1, 2, 3], "scenarios": [_SCENARIO]},
+                 "spec", "campaign", id="campaign-list"),
+    pytest.param({"campaign": "x", "scenarios": [_SCENARIO]},
+                 "spec", "campaign", id="campaign-string"),
+    pytest.param({"scenarios": 3}, "spec", "scenarios", id="scenarios-int"),
+    pytest.param({"scenarios": [{"family": "mt_chain", "params": [1]}]},
+                 "scenarios[0]", "params", id="params-list"),
+    pytest.param({"scenarios": [{"family": "mt_chain", "grid": 7}]},
+                 "scenarios[0]", "grid", id="grid-int"),
+    pytest.param({"scenarios": [{"family": "mt_chain", "stimulus": 7}]},
+                 "scenarios[0]", "stimulus", id="stimulus-int"),
+    pytest.param({"campaign": {"workers": "x"}, "scenarios": [_SCENARIO]},
+                 "campaign", "workers", id="workers-string"),
+    pytest.param({"campaign": {"seed": "x"}, "scenarios": [_SCENARIO]},
+                 "campaign", "seed", id="seed-string"),
+    pytest.param({"scenarios": [{"family": 5}]},
+                 "scenarios[0]", "family", id="family-int"),
+    pytest.param({"campaign": {"engine": "event"}, "scenarios": [_SCENARIO]},
+                 "campaign", "engine", id="engine-event"),
+]
+
+
+@pytest.mark.parametrize("spec, path, field", MALFORMED_SPECS)
+def test_submit_rejects_malformed_spec_shapes(spec, path, field):
+    with JobService(workers=0) as service:
+        with pytest.raises(SpecError) as excinfo:
+            service.submit(spec)
+    assert (excinfo.value.path, excinfo.value.field) == (path, field)
+    # A key that is present but mistyped is not reported as missing.
+    assert "missing" not in excinfo.value.reason
+    assert service.list_jobs() == []
+
+
+@pytest.mark.parametrize("spec, path, field", MALFORMED_SPECS)
+def test_malformed_spec_shapes_are_structured_400(
+    service_client, spec, path, field
+):
+    client, service = service_client
+    status, payload = _post_raw(
+        client, "/campaigns", json.dumps(spec).encode()
+    )
+    assert status == 400
+    assert (payload["error"]["path"], payload["error"]["field"]) == (
+        path, field,
+    )
+    assert "missing" not in payload["error"]["reason"]
+    assert service.list_jobs() == []
+
+
+def test_submit_and_service_engine_arguments_rejected():
+    with JobService(workers=0) as service:
+        with pytest.raises(SpecError) as excinfo:
+            service.submit(CAMPAIGN, engine="event")
+        assert (excinfo.value.path, excinfo.value.field) == (
+            "submit", "engine",
+        )
+        assert service.list_jobs() == []
+    with pytest.raises(SpecError) as excinfo:
+        JobService(workers=0, engine="event")
+    assert (excinfo.value.path, excinfo.value.field) == ("service", "engine")
+
+
 class TestParity:
     def test_cli_and_http_reports_identical(self, service_client):
         client, _service = service_client

@@ -23,6 +23,7 @@ from repro.sweep import (
     make_scenario,
     run_campaign,
 )
+from repro.kernel import ENGINES
 from repro.sweep.registry import Family, register_family
 from repro.sweep.report import render_markdown, write_report
 from repro.sweep.runner import run_scenarios, shard_scenarios
@@ -152,6 +153,15 @@ class TestSpec:
             )
         assert excinfo.value.field == "grid.threads"
 
+    @pytest.mark.parametrize("engine", ["event", "bogus", 3])
+    def test_unknown_engine_is_spec_error(self, engine):
+        with pytest.raises(SpecError) as excinfo:
+            from_dict({**SMALL_CAMPAIGN, "campaign": {"engine": engine}})
+        err = excinfo.value
+        assert (err.path, err.field) == ("campaign", "engine")
+        for name in ENGINES:
+            assert name in err.reason
+
     def test_load_json_spec(self, tmp_path):
         path = tmp_path / "campaign.json"
         path.write_text(json.dumps(SMALL_CAMPAIGN), encoding="utf-8")
@@ -242,9 +252,9 @@ class TestRunner:
 
     def test_engines_agree(self):
         spec = from_dict(SMALL_CAMPAIGN)
-        event = run_campaign(spec, workers=1, engine="event")
+        naive = run_campaign(spec, workers=1, engine="naive")
         compiled = run_campaign(spec, workers=2, engine="compiled")
-        assert _metrics_by_key(event) == _metrics_by_key(compiled)
+        assert _metrics_by_key(naive) == _metrics_by_key(compiled)
 
     def test_scenario_failure_is_contained(self):
         register_family(
@@ -314,7 +324,7 @@ class TestRunner:
             metrics={"window": "full"},
         )
         rows_a = run_scenarios([scenario], engine="compiled")
-        rows_b = run_scenarios([scenario], engine="event")
+        rows_b = run_scenarios([scenario], engine="naive")
         assert rows_a[0]["status"] == "ok", rows_a[0].get("error")
         variants = rows_a[0]["metrics"]["variants"]
         assert [v["variant"] for v in variants] == [0, 1]
@@ -396,6 +406,18 @@ class TestReportAndCLI:
             "scenarios": [{"family": "warp_drive"}],
         }), encoding="utf-8")
         assert main(["validate", str(unknown)]) == 2
+
+    def test_cli_unknown_engine_exit_code(self, tmp_path, capsys):
+        from repro.sweep.__main__ import main
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(SMALL_CAMPAIGN), encoding="utf-8")
+        out_dir = tmp_path / "results"
+        assert main([
+            "run", str(path), "--engine", "event", "--out", str(out_dir),
+        ]) == 2
+        assert "engine" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_cli_families_json(self, capsys):
         from repro.sweep.__main__ import main
