@@ -6,7 +6,11 @@ disagree about behaviour.  Spec validation errors surface as HTTP 400
 with the :meth:`repro.sweep.spec.SpecError.to_dict` body — the same
 ``{path, field, reason}`` structure the CLI renders as text — and
 admission-control rejections as HTTP 429 with the
-:meth:`repro.sweep.jobs.QuotaError.to_dict` body.
+:meth:`repro.sweep.jobs.QuotaError.to_dict` body.  Any other exception
+in a handler is logged with its traceback and answered with HTTP 500
+``{"error": {"reason", "trace_id"}}`` (the trace id is in the log
+line), unless the response had already started; then the connection
+is closed, as it is, quietly, when the client went away.
 
 The server is a ``ThreadingHTTPServer``: request threads only enqueue
 jobs and read status snapshots; all simulation happens in the
@@ -16,8 +20,10 @@ service's dispatcher/worker processes.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import re
+import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -31,6 +37,8 @@ MAX_WAIT_S = 300.0
 
 #: Longest an ``/events`` stream waits between events, seconds.
 EVENTS_TIMEOUT_S = 300.0
+
+log = logging.getLogger(__name__)
 
 _CAMPAIGN_ROUTE = re.compile(
     r"^/campaigns/(?P<job_id>[\w.\-]+)"
@@ -79,9 +87,45 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 params[key] = value
         return path, params
 
+    def send_response(self, code: int, message: str | None = None) -> None:
+        self._response_started = True
+        super().send_response(code, message)
+
+    def _guarded(self, route) -> None:
+        """Run *route*; turn an unexpected exception into a logged 500.
+
+        A client that went away is not an error.  A failure after the
+        status line went out cannot be answered any more: it is logged
+        and the connection closed.
+        """
+        self._response_started = False
+        try:
+            route()
+        except ConnectionError:  # client went away
+            self.close_connection = True
+        except Exception:
+            trace_id = uuid.uuid4().hex[:16]
+            log.exception(
+                "unhandled error in %s %s (trace_id=%s)",
+                self.command, self.path, trace_id,
+            )
+            if self._response_started:
+                self.close_connection = True
+                return
+            try:
+                self._error(500, "internal server error", trace_id=trace_id)
+            except ConnectionError:
+                self.close_connection = True
+
     # -- routes ---------------------------------------------------------
 
     def do_GET(self) -> None:
+        self._guarded(self._get)
+
+    def do_POST(self) -> None:
+        self._guarded(self._post)
+
+    def _get(self) -> None:
         path, params = self._split_query()
         if path == "/healthz":
             stats = self.service.stats()
@@ -184,7 +228,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             )
         return self._send_json(200, job.report)
 
-    def do_POST(self) -> None:
+    def _post(self) -> None:
         path, _params = self._split_query()
         if path == "/campaigns":
             try:

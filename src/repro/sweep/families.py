@@ -4,7 +4,8 @@ The ``make_*`` factories here are the single home of the pipeline
 builders the benchmark harness imports: an MT pipeline, the bursty
 variant, the dense shared-function chain and the recirculating elastic
 ring.  On top of them, this module registers the campaign
-design families (see :mod:`repro.sweep.registry`):
+design families (see :mod:`repro.sweep.registry`); the ``fuzz`` and
+``fault`` rows register from :mod:`repro.sweep.fuzz`:
 
 ========================  =====================================  =========
 family                    structural params                      reusable
@@ -13,7 +14,10 @@ family                    structural params                      reusable
 ``mt_chain``              threads, n_funcs, width                yes
 ``mt_ring``               threads, n_funcs, trips, width         yes
 ``md5``                   threads, meb, round_stages             no
-``processor``             threads, meb                           no
+``processor``             threads, meb                           yes
+``fuzz``                  base, threads, n_stages, meb, width    yes
+``fault``                 fault, threads, fire_at, period,       no
+                          spike
 ========================  =====================================  =========
 
 Reusable families are built once per worker and rewound between

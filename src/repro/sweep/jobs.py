@@ -20,14 +20,19 @@ The moving parts of a :class:`JobService`:
   per worker.  With ``workers=N >= 2`` the workers are N processes;
   ``workers<=1`` gives one thread worker (inline execution, no
   subprocesses).  Both kinds run the same unit-execution function
-  against a worker-lifetime design cache.  Units are routed to workers
-  by a stable hash of their design key (:func:`design_affinity`), so
-  every scenario of one design — across *all* jobs, not just within
-  one campaign — lands on the worker that already holds that design
-  compiled, and rewinds it via the kernel's columnar snapshot/restore
-  instead of rebuilding.  A worker process that dies fails only the
-  unit it was running (``status="worker-failed"``); the pool respawns
-  the worker (cold cache) and the job continues.
+  against a worker-lifetime design cache.  Units go out by ownership
+  claim: an idle worker takes a unit of a design it owns, else one of
+  an unowned design that :func:`design_affinity` assigns to it, else
+  one of any unowned design — and taking an unowned design claims it
+  for as long as the pool lives.  No worker takes a design another
+  live worker owns, so every scenario of one design — across *all*
+  jobs, not just within one campaign — lands on the worker that
+  already holds that design compiled, and rewinds it via the kernel's
+  columnar snapshot/restore instead of rebuilding; and no worker sits
+  idle while unclaimed work is pending.  A worker process that dies
+  fails only the unit it was running (``status="worker-failed"``);
+  the pool respawns the worker (cold cache, its ownerships dropped)
+  and the job continues.
 
 * **A persisted result store with dedup.**  With a
   :class:`repro.sweep.store.ResultStore`, each scenario's canonical
@@ -53,10 +58,10 @@ The service is also **fault-tolerant** (the resilience layer):
   is dropped) and replaced by a fresh one.
 * **Bounded retries** — rows failing with a retryable status
   (:data:`RETRYABLE_STATUSES`) are re-enqueued up to ``retries`` times
-  with exponential backoff, re-routed off the affinity worker on the
-  second attempt.  A retried-then-ok row is bit-identical to a
-  first-try row (determinism again); its ``attempts`` count is a
-  volatile field.
+  with exponential backoff; a retry never runs on the worker that
+  failed it (unless the pool has one worker).  A retried-then-ok row
+  is bit-identical to a first-try row (determinism again); its
+  ``attempts`` count is a volatile field.
 * **Admission control** — ``max_queued_jobs`` / ``max_scenarios_per_job``
   reject over-limit submissions with a structured :class:`QuotaError`
   (HTTP 429), and :meth:`~JobService.stats` reports saturation.
@@ -154,11 +159,12 @@ class QuotaError(RuntimeError):
 
 
 def design_affinity(design_key: str, workers: int) -> int:
-    """Stable worker index for a design key.
+    """Stable preferred worker index for a design key.
 
-    A pure function of the key (not of the campaign), so the same
-    design always lands on the same worker across jobs — the property
-    that turns per-worker design caches into a cross-job design cache.
+    A pure function of the key (not of the campaign): an unowned design
+    goes to this worker when it is idle, so independent services spread
+    the same designs the same way.  Ownership claims (:class:`_Backlog`)
+    decide where a design actually lives.
     """
     digest = hashlib.sha256(design_key.encode()).digest()
     return int.from_bytes(digest[:8], "big") % workers
@@ -181,7 +187,9 @@ def _run_unit(index: int, msg, cache: dict, mode: str) -> tuple:
 
     *msg* is ``(job_id, unit, engine, opts)``: ``opts["profile"]``
     attaches the kernel profiler per scenario, ``opts["parent"]`` is
-    the job span id.  A worker-side :class:`~repro.obs.trace.Tracer`
+    the job span id and ``opts["route"]`` the dispatch rule that chose
+    this worker (``owner``, ``preferred`` or ``claimed``; see
+    :class:`_Backlog`).  A worker-side :class:`~repro.obs.trace.Tracer`
     records unit -> scenario -> build/simulate/metrics spans tagged
     with this worker's index; they ship back in the result tuple for
     the dispatcher to merge into the job's trace.
@@ -191,6 +199,7 @@ def _run_unit(index: int, msg, cache: dict, mode: str) -> tuple:
     try:
         with tracer.span(
             "unit", parent=opts["parent"], scenarios=len(unit), mode=mode,
+            route=opts["route"],
         ) as unit_span:
             unit_rows = execute_unit(
                 unit,
@@ -297,11 +306,14 @@ class _WorkerPool:
     """Workers sharing one result queue.
 
     ``processes >= 2`` gives that many process workers; 0 gives one
-    thread worker (inline execution, no subprocesses).
+    thread worker (inline execution, no subprocesses).  ``owner`` maps
+    each claimed design key to the worker whose cache holds it; it
+    lives as long as the pool, so ownership carries across jobs.
     """
 
     def __init__(self, processes: int):
         self.processes = processes
+        self.owner: dict[str, int] = {}
         if processes:
             ctx = multiprocessing.get_context()
             self.results = ctx.Queue()
@@ -317,10 +329,25 @@ class _WorkerPool:
         return [w.alive() for w in self.workers]
 
     def respawn(self, index: int) -> None:
-        """Kill a dead or hung worker and replace it with a cold one."""
+        """Kill a dead or hung worker and replace it with a cold one.
+
+        The replacement holds no designs, so the dead worker's
+        ownerships are dropped and its designs become claimable.
+        """
         self.workers[index].kill()
         self.workers[index] = self._spawn(index)
+        self.owner = {
+            key: worker for key, worker in self.owner.items()
+            if worker != index
+        }
         self.respawns += 1
+
+    def owned_counts(self) -> list[int]:
+        """Number of designs each worker owns, by worker index."""
+        counts = [0] * self.size
+        for worker in list(self.owner.values()):
+            counts[worker] += 1
+        return counts
 
     def close(self) -> None:
         for worker in self.workers:
@@ -330,6 +357,84 @@ class _WorkerPool:
                 pass
         for worker in self.workers:
             worker.join()
+
+
+class _Backlog:
+    """One job's pending units, handed out by ownership claim.
+
+    Units are filed by design key.  An idle worker takes, in order:
+
+    1. ``"owner"`` — a unit of a design it owns;
+    2. ``"preferred"`` — a unit of an unowned design whose
+       :func:`design_affinity` is this worker;
+    3. ``"claimed"`` — a unit of any unowned design.
+
+    Ownership is the pool's ``owner`` map alone: taking an unowned
+    design claims it there, and a respawn drops it there.  A worker
+    never takes a design owned by another live worker, so each design
+    is built once and stays on one worker across jobs, while an idle
+    worker still takes any unclaimed design instead of waiting on a
+    static route.  A worker that failed a unit never reclaims its
+    design within the job (unless the pool has one worker), so a retry
+    runs elsewhere.  Retries wait out their backoff in ``delayed``.
+    """
+
+    def __init__(self, pool: _WorkerPool, units):
+        self.pool = pool
+        self.designs: dict[str, deque] = {}
+        self.failed_on: dict[str, int] = {}
+        self.delayed: list[tuple] = []  # (ready time, unit, attempt)
+        for unit in units:
+            self._file(unit, 1)
+
+    def _file(self, unit, attempt: int) -> None:
+        key = unit[0].design_key()
+        self.designs.setdefault(key, deque()).append((unit, attempt))
+
+    def retry(self, unit, attempt: int, ready: float, worker: int) -> None:
+        """Re-enqueue *unit* after *worker* failed it; due at *ready*."""
+        if self.pool.size > 1:
+            self.failed_on[unit[0].design_key()] = worker
+        self.delayed.append((ready, unit, attempt))
+
+    def take(self, worker: int, now: float):
+        """The next ``(unit, attempt, route)`` for idle *worker*, or None."""
+        if self.delayed:
+            due = [d for d in self.delayed if d[0] <= now]
+            self.delayed = [d for d in self.delayed if d[0] > now]
+            for _ready, unit, attempt in due:
+                self._file(unit, attempt)
+        owner, size = self.pool.owner, self.pool.size
+        free = [
+            k for k in self.designs
+            if k not in owner and self.failed_on.get(k) != worker
+        ]
+        rules = (
+            ("owner", (k for k in self.designs if owner.get(k) == worker)),
+            ("preferred",
+             (k for k in free if design_affinity(k, size) == worker)),
+            ("claimed", iter(free)),
+        )
+        for route, keys in rules:
+            key = next(keys, None)
+            if key is None:
+                continue
+            owner[key] = worker
+            pending = self.designs[key]
+            unit, attempt = pending.popleft()
+            if not pending:
+                del self.designs[key]
+            return unit, attempt, route
+        return None
+
+    def drain(self) -> list:
+        """Remove and return every unit not yet dispatched."""
+        units = [unit for pending in self.designs.values()
+                 for unit, _attempt in pending]
+        units += [unit for _ready, unit, _attempt in self.delayed]
+        self.designs.clear()
+        self.delayed.clear()
+        return units
 
 
 # ----------------------------------------------------------------------
@@ -857,7 +962,8 @@ class JobService:
             states: dict[str, int] = {}
             for job in self._jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
-        pool = self._pool if self.pool_size else None  # processes only
+        live = self._pool
+        pool = live if self.pool_size else None  # processes only
         lookups = self.dedup_hits + self.dedup_misses
         queued = states.get("queued", 0)
         return {
@@ -882,6 +988,12 @@ class JobService:
                 "mode": "pool" if self.pool_size else "inline",
                 "alive": pool.alive() if pool is not None else [],
                 "respawns": pool.respawns if pool is not None else 0,
+            },
+            # Design ownership per worker index (both worker kinds).
+            "pool": {
+                "owned_designs": (
+                    live.owned_counts() if live is not None else []
+                ),
             },
             # Since-service-start dedup accounting (always present, even
             # store-less, so clients can assert on it unconditionally);
@@ -1167,10 +1279,10 @@ class JobService:
         """Handle a watchdog verdict on an in-flight unit.
 
         Publishes the watchdog event; then either re-enqueues the unit
-        via *retry(unit, next_attempt, ready_time)* (with exponential
-        backoff, a retry event and a point span) or finalizes every
-        row as *status* through *sink(index, row)*.  Returns True when
-        the unit was re-enqueued.
+        via *retry(unit, next_attempt, ready_time, shard)* (with
+        exponential backoff, a retry event and a point span) or
+        finalizes every row as *status* through *sink(index, row)*.
+        Returns True when the unit was re-enqueued.
         """
         if status == "timeout":
             self._m_timeouts.inc(len(unit))
@@ -1210,7 +1322,7 @@ class JobService:
                     "reason": status,
                 }
             )
-            retry(unit, attempt + 1, time.time() + backoff)
+            retry(unit, attempt + 1, time.time() + backoff, shard)
             return True
         for scenario in unit:
             row = _scenario_row(scenario, shard)
@@ -1225,35 +1337,26 @@ class JobService:
     # -- execution ------------------------------------------------------
 
     def _run_units(self, job: Job, pending, rows) -> None:
-        """Affinity-routed execution of *pending* across the worker pool.
+        """Claim-dispatched execution of *pending* across the worker pool.
 
         Units (not single scenarios) are the message granularity: every
         scenario in a unit shares one design key, so the whole batch
-        lands on the worker holding that design, one unit in flight per
-        worker.  The dispatcher is also the watchdog: each poll-timeout
-        tick it checks every in-flight unit's worker for death and its
-        deadline for expiry; either verdict fails (or retries) the
-        whole unit and respawns the worker (kill + cold replacement).
-        Retried units are routed off the affinity worker (``+ attempt -
-        1`` rotation) — dodging both a possibly poisoned cache and the
-        cold respawn — and go to the back of that worker's backlog, so
-        siblings run during the backoff.  Cancellation stops dispatch:
-        in-flight units finish (an ensemble's lanes are one
-        simulation), queued ones are reported ``status="cancelled"``.
+        runs on the worker that owns that design, one unit in flight per
+        worker; idle workers take units by the claim rule of
+        :class:`_Backlog`.  The dispatcher is also the watchdog: each
+        poll-timeout tick it checks every in-flight unit's worker for
+        death and its deadline for expiry; either verdict fails (or
+        retries) the whole unit and respawns the worker (kill + cold
+        replacement, ownerships dropped).  A retried unit waits out its
+        backoff while siblings run, then goes to any worker but the one
+        that failed it.  Cancellation stops dispatch: in-flight units
+        finish (an ensemble's lanes are one simulation), queued ones
+        are reported ``status="cancelled"``.
         """
         if not pending:
             return
         pool = self._ensure_pool()
-
-        def route(unit, attempt: int) -> int:
-            return (
-                design_affinity(unit[0].design_key(), pool.size)
-                + attempt - 1
-            ) % pool.size
-
-        backlog: dict[int, deque] = {i: deque() for i in range(pool.size)}
-        for unit in plan_units(pending, self.ensemble):
-            backlog[route(unit, 1)].append((unit, 1, 0.0))
+        backlog = _Backlog(pool, plan_units(pending, self.ensemble))
         # widx -> (unit, attempt, absolute deadline | None, timeout_s)
         inflight: dict[int, tuple] = {}
         remaining = len(pending)
@@ -1268,28 +1371,22 @@ class JobService:
             self._note_row(job, row, total)
             remaining -= 1
 
-        def requeue(unit, attempt, ready):
-            backlog[route(unit, attempt)].append((unit, attempt, ready))
-
         while remaining:
             if job.cancel_event.is_set():
-                for dq in backlog.values():
-                    while dq:
-                        unit, _attempt, _ready = dq.popleft()
-                        for scenario in unit:
-                            account(
-                                scenario.index, self._cancelled_row(scenario)
-                            )
+                for unit in backlog.drain():
+                    for scenario in unit:
+                        account(scenario.index, self._cancelled_row(scenario))
                 if not inflight:
                     break
             now = time.time()
             for i in range(pool.size):
-                if i in inflight or not backlog[i]:
+                taken = None if i in inflight else backlog.take(i, now)
+                if taken is None:
                     continue
-                if backlog[i][0][2] > now:  # head still backing off
-                    continue
-                unit, attempt, _ready = backlog[i].popleft()
-                pool.workers[i].tasks.put((job.id, unit, job.engine, opts))
+                unit, attempt, route = taken
+                pool.workers[i].tasks.put(
+                    (job.id, unit, job.engine, {**opts, "route": route})
+                )
                 timeout_s = self._unit_deadline(job, unit)
                 deadline = now + timeout_s if timeout_s is not None else None
                 inflight[i] = (unit, attempt, deadline, timeout_s)
@@ -1324,7 +1421,7 @@ class JobService:
                         self._m_respawns.inc()
                     self._fail_unit(
                         job, unit, attempt, status, message,
-                        shard=i, sink=account, retry=requeue,
+                        shard=i, sink=account, retry=backlog.retry,
                     )
                 continue
             entry = inflight.get(widx)

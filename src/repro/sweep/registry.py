@@ -18,13 +18,14 @@ callables:
 ``reusable=True`` families keep no driver state outside the simulator,
 so the campaign runner builds them once per worker and rewinds between
 scenarios with the kernel's columnar snapshot/restore instead of a full
-recompile.  Families with software drivers holding their own state
-(MD5's hasher, the processor's program loader) set ``reusable=False``
-and are rebuilt per scenario.
+recompile.  Families holding state outside the snapshot (MD5's
+software hasher, the fault components' trigger counters) set
+``reusable=False`` and are rebuilt per scenario; the processor keeps
+all its driver state in components, so it is reusable.
 
-Built-in families live in :mod:`repro.sweep.families` and register
-themselves on import; external code can add more with
-:func:`register_family`.
+Built-in families live in :mod:`repro.sweep.families` and
+:mod:`repro.sweep.fuzz` and register themselves on import; external
+code can add more with :func:`register_family`.
 """
 
 from __future__ import annotations

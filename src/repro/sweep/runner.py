@@ -376,9 +376,9 @@ def shard_scenarios(
     worker can amortize one build across all of a design's scenarios;
     group order follows first appearance in the spec, which makes the
     assignment reproducible from the spec alone.  (The long-running
-    service routes by a stable design-key hash instead — see
-    :func:`repro.sweep.jobs.design_affinity` — so that affinity also
-    holds *across* jobs.)
+    service places designs by ownership claim instead — see
+    :class:`repro.sweep.jobs._Backlog` — so that a design stays on one
+    worker *across* jobs.)
     """
     groups: dict[str, list[ScenarioSpec]] = {}
     order: list[str] = []

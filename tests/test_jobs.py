@@ -17,10 +17,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+import types
 
 import pytest
 
-from repro.sweep.jobs import JobService, design_affinity
+from repro.sweep.jobs import JobService, _Backlog, _WorkerPool, design_affinity
 from repro.sweep.registry import _REGISTRY, Family, register_family
 from repro.sweep.report import canonical_report
 from repro.sweep.runner import run_campaign
@@ -302,11 +303,148 @@ class TestDesignCacheAffinity:
         multiprocessing.get_start_method() != "fork",
         reason="pool tests rely on fork inheritance",
     )
+    def test_skewed_designs_are_claimed_by_idle_workers(self):
+        # Every design prefers worker 0; a static hash route would leave
+        # worker 1 idle for the whole campaign.
+        spec = {
+            "campaign": {"name": "skewed", "seed": 4},
+            "scenarios": [
+                {
+                    "family": "mt_pipeline",
+                    "params": {"threads": 2},
+                    "grid": {"n_stages": [2, 3, 4]},
+                    "stimulus": {"kind": "uniform", "items_per_thread": n},
+                }
+                for n in (4, 6)
+            ],
+        }
+        designs = {s.design_key() for s in from_dict(spec).scenarios}
+        assert {design_affinity(key, 2) for key in designs} == {0}
+        with JobService(workers=2) as service:
+            jobs = [service.submit(spec) for _ in range(2)]
+            first, second = (service.result(job) for job in jobs)
+            traces = [service.trace(job) for job in jobs]
+            owned = service.stats()["pool"]["owned_designs"]
+        placements = []
+        for report in (first, second):
+            by_design: dict[str, set] = {}
+            for row in report["scenarios"]:
+                design = f"{row['family']}({row['params']})"
+                by_design.setdefault(design, set()).add(row["shard"])
+            assert all(len(shards) == 1 for shards in by_design.values())
+            placements.append(by_design)
+        assert {r["shard"] for r in first["scenarios"]} == {0, 1}
+        assert placements[0] == placements[1]
+        assert {r["design_cache"] for r in second["scenarios"]} == {"hit"}
+        assert _metrics_by_key(first) == _metrics_by_key(second)
+        assert sorted(owned) == [1, 2]
+        routes = [
+            {(s["attrs"]["worker"], s["attrs"]["route"])
+             for s in spans if s["name"] == "unit"}
+            for spans in traces
+        ]
+        assert (0, "preferred") in routes[0] and (1, "claimed") in routes[0]
+        assert (1, "preferred") not in routes[0]
+        assert {route for _worker, route in routes[1]} == {"owner"}
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool tests rely on fork inheritance",
+    )
+    def test_respawn_drops_the_workers_ownerships(self):
+        pool = _WorkerPool(2)
+        try:
+            pool.owner.update({"a": 0, "b": 1, "c": 0})
+            assert pool.owned_counts() == [2, 1]
+            pool.respawn(0)
+            assert pool.owner == {"b": 1}
+            assert pool.owned_counts() == [0, 1]
+            assert all(pool.alive())
+        finally:
+            pool.close()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool tests rely on fork inheritance",
+    )
     def test_pooled_equals_inline(self):
         inline = run_campaign(from_dict(SMALL_CAMPAIGN), workers=1)
         with JobService(workers=2) as service:
             pooled = service.result(service.submit(SMALL_CAMPAIGN))
         assert _metrics_by_key(inline) == _metrics_by_key(pooled)
+
+
+def _units(*keys):
+    """One single-scenario unit per design key (a stand-in scenario)."""
+    return [
+        [types.SimpleNamespace(key=key, design_key=lambda key=key: key)]
+        for key in keys
+    ]
+
+
+class TestBacklogClaims:
+    """The claim rule, on a stand-in two-worker pool."""
+
+    # Preferred workers with 2 workers: "d2"/"d3" -> 0, "d5"/"d6" -> 1.
+    KEYS = ("d5", "d2", "d3", "d6")
+
+    def _backlog(self, owner=None):
+        assert [design_affinity(k, 2) for k in self.KEYS] == [1, 0, 0, 1]
+        pool = types.SimpleNamespace(size=2, owner=dict(owner or {}))
+        return _Backlog(pool, _units(*self.KEYS, "d2")), pool
+
+    @staticmethod
+    def _take(backlog, worker, now=0.0):
+        unit, attempt, route = backlog.take(worker, now)
+        return unit[0].key, attempt, route
+
+    def test_owner_then_preferred_then_claimed(self):
+        backlog, pool = self._backlog(owner={"d6": 0})
+        assert self._take(backlog, 0) == ("d6", 1, "owner")
+        assert self._take(backlog, 0) == ("d2", 1, "preferred")
+        # d2 has a second unit: its claimant keeps it.
+        assert self._take(backlog, 0) == ("d2", 1, "owner")
+        assert self._take(backlog, 0) == ("d3", 1, "preferred")
+        assert self._take(backlog, 0) == ("d5", 1, "claimed")
+        assert backlog.take(0, 0.0) is None
+        assert pool.owner == {"d6": 0, "d2": 0, "d3": 0, "d5": 0}
+
+    def test_designs_owned_elsewhere_are_never_taken(self):
+        backlog, _pool = self._backlog(owner={"d5": 1, "d2": 1, "d6": 1})
+        assert self._take(backlog, 0) == ("d3", 1, "preferred")
+        assert backlog.take(0, 0.0) is None
+        taken = [self._take(backlog, 1)[0] for _ in range(4)]
+        assert taken == ["d5", "d2", "d2", "d6"]
+
+    def test_retry_waits_out_backoff_and_avoids_failing_worker(self):
+        backlog, pool = self._backlog()
+        unit, _attempt, _route = backlog.take(0, 0.0)  # claims d2
+        pool.owner = {}  # worker 0 respawned
+        backlog.retry(unit, 2, ready=5.0, worker=0)
+        taken = [self._take(backlog, 0)[0] for _ in range(3)]
+        assert taken == ["d3", "d5", "d6"]
+        # d2 (its sibling unit, then the retry) is left to worker 1.
+        assert backlog.take(0, 0.0) is None
+        assert self._take(backlog, 1, now=1.0) == ("d2", 1, "claimed")
+        assert backlog.take(1, 1.0) is None  # the retry is backing off
+        assert backlog.take(0, 9.0) is None
+        assert self._take(backlog, 1, now=9.0) == ("d2", 2, "owner")
+
+    def test_single_worker_retries_on_itself(self):
+        pool = types.SimpleNamespace(size=1, owner={})
+        backlog = _Backlog(pool, _units("d1"))
+        unit, _attempt, _route = backlog.take(0, 0.0)
+        pool.owner = {}
+        backlog.retry(unit, 2, ready=0.0, worker=0)
+        assert self._take(backlog, 0) == ("d1", 2, "preferred")
+
+    def test_drain_returns_everything_pending(self):
+        backlog, _pool = self._backlog()
+        unit, _attempt, _route = backlog.take(0, 0.0)
+        backlog.retry(unit, 2, ready=5.0, worker=0)
+        drained = sorted(u[0].key for u in backlog.drain())
+        assert drained == ["d2", "d2", "d3", "d5", "d6"]
+        assert backlog.take(1, 9.0) is None
 
 
 def _build_nothing(params, engine):

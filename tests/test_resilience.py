@@ -342,6 +342,52 @@ class TestRetryCanonicalEquality:
         assert canonical_report(disturbed) == canonical_report(undisturbed)
 
 
+class TestRetryRouting:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_retry_avoids_the_failing_worker(
+        self, tmp_path, temp_family, unblock_hung, workers
+    ):
+        if workers == 2 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool tests rely on fork inheritance")
+        temp_family(Family(
+            name="_hangs_once", build=_build_tiny_chain,
+            run=_run_hang_once, reusable=False,
+        ))
+        # Two units of one design: the sibling of the hung unit must
+        # not pin the design back onto the worker that failed it.
+        spec = {
+            "campaign": {"name": "retry-route", "seed": 8},
+            "scenarios": [
+                {
+                    "family": "_hangs_once", "timeout_s": 0.75,
+                    "stimulus": {"kind": "uniform", "items_per_thread": n},
+                }
+                for n in (1, 2)
+            ],
+        }
+        _HANG_ONCE_MARKER[0] = str(tmp_path / f"hang-route-{workers}")
+        try:
+            with JobService(workers=workers, retries=1) as service:
+                job_id = service.submit(spec)
+                report = service.result(job_id, timeout=120)
+                events = list(service.events(job_id, timeout=5))
+        finally:
+            _HANG_ONCE_MARKER[0] = ""
+        assert report["summary"]["failed"] == 0
+        [watchdog] = [e for e in events if e["event"] == "watchdog"]
+        assert watchdog["retrying"] is True
+        [retried] = [r for r in report["scenarios"] if r["attempts"] == 2]
+        assert retried["key"] in watchdog["keys"]
+        if workers == 2:
+            # The retry and its design's sibling unit both left the
+            # worker that failed.
+            shards = {r["shard"] for r in report["scenarios"]}
+            assert watchdog["worker"] not in shards
+            assert retried["shard"] != watchdog["worker"]
+        else:
+            assert retried["shard"] == watchdog["worker"] == 0
+
+
 def _fake_ensemble_build(params, engine):
     state = {"snapshots": 0}
     sim = types.SimpleNamespace(

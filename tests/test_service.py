@@ -8,6 +8,7 @@ repro.serve --workers 0 --memory-store`` produces, minus the process.
 
 from __future__ import annotations
 
+import io
 import json
 import pathlib
 import threading
@@ -17,6 +18,7 @@ import urllib.request
 import pytest
 
 from repro.serve import ServiceClient, ServiceError, make_server
+from repro.serve.http import ServiceHandler
 from repro.sweep import __main__ as sweep_cli
 from repro.sweep.jobs import JobService
 from repro.sweep.registry import _REGISTRY, Family, register_family, registry_payload
@@ -190,6 +192,82 @@ class TestRoutes:
         error = excinfo.value.payload["error"]
         assert error["field"] == "wait"
         assert wait in error["reason"]
+
+    def test_unexpected_exception_is_structured_500(
+        self, service_client, monkeypatch, caplog
+    ):
+        client, service = service_client
+        job_id = client.submit(CAMPAIGN)["id"]
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("status backend exploded")
+
+        monkeypatch.setattr(service, "status", broken)
+        with caplog.at_level("ERROR", logger="repro.serve.http"):
+            try:
+                urllib.request.urlopen(
+                    f"{client.base_url}/campaigns/{job_id}", timeout=10
+                )
+            except urllib.error.HTTPError as exc:
+                status, payload = exc.code, json.loads(exc.read())
+            else:  # pragma: no cover - the route must fail
+                pytest.fail("expected HTTP 500")
+            post_status, post_payload = _post_raw(
+                client, "/campaigns", json.dumps(CAMPAIGN).encode()
+            )
+        assert status == 500
+        assert set(payload["error"]) == {"reason", "trace_id"}
+        assert post_status == 500
+        trace_ids = {payload["error"]["trace_id"],
+                     post_payload["error"]["trace_id"]}
+        assert len(trace_ids) == 2
+        # Each trace id names one logged traceback.
+        logged = [r.getMessage() for r in caplog.records if r.exc_info]
+        assert all(any(tid in msg for msg in logged) for tid in trace_ids)
+        assert "status backend exploded" in caplog.text
+        # The server keeps serving.
+        assert client.healthz()["status"] == "ok"
+
+
+def _bare_handler() -> ServiceHandler:
+    """A handler with no socket: the response goes to a BytesIO."""
+    handler = ServiceHandler.__new__(ServiceHandler)
+    handler.command, handler.path = "GET", "/healthz"
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = "GET /healthz HTTP/1.1"
+    handler.wfile = io.BytesIO()
+    handler.close_connection = False
+    return handler
+
+
+def test_failure_after_response_started_is_logged_not_answered(caplog):
+    handler = _bare_handler()
+
+    def half_sent():
+        handler.send_response(200)
+        handler.end_headers()
+        raise RuntimeError("late failure")
+
+    with caplog.at_level("ERROR", logger="repro.serve.http"):
+        handler._guarded(half_sent)
+    sent = handler.wfile.getvalue()
+    assert sent.count(b"HTTP/") == 1 and b" 200 " in sent
+    assert handler.close_connection is True
+    assert "late failure" in caplog.text
+
+
+@pytest.mark.parametrize("exc", [BrokenPipeError, ConnectionResetError])
+def test_client_disconnect_is_not_an_error(caplog, exc):
+    handler = _bare_handler()
+
+    def gone():
+        raise exc()
+
+    with caplog.at_level("ERROR", logger="repro.serve.http"):
+        handler._guarded(gone)
+    assert handler.wfile.getvalue() == b""
+    assert handler.close_connection is True
+    assert not caplog.records
 
 
 @pytest.mark.parametrize("spec", [[1, 2], None, 3, b"{}"])
