@@ -12,7 +12,7 @@ CI.  Two modes:
   against conservative floors, and writes the measurements to
   ``benchmarks/results/BENCH_kernel.json`` so CI can upload them as an
   artifact and gate regressions against the committed repo-root
-  ``BENCH_kernel.json`` baseline (see ``benchmarks/check_regression.py``).
+  ``BENCH_kernel.json`` baseline (see ``benchmarks/check_regression.py kernel``).
 
 Set ``BENCH_SMOKE=1`` to shrink every workload (CI's benchmark smoke
 job); the JSON is still produced, only with smaller configurations and
@@ -312,7 +312,7 @@ def _measure(runner, engine, reps):
 # unprofiled fast path.  `profile_overhead` is (cps after a profiler
 # attach/detach round trip) / (plain cps) on the mt_pipeline workload —
 # nominally 1.0 — recorded in BENCH_kernel.json and gated like the
-# engine speedups (see benchmarks/check_regression.py).
+# engine speedups (see `benchmarks/check_regression.py kernel`).
 
 def _run_pipeline_after_profile():
     """_run_pipeline(compiled), but attach+detach a profiler first."""

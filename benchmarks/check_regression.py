@@ -1,23 +1,37 @@
-"""Benchmark regression gate: compare a fresh run against the baseline.
-
-CI reruns the engine comparison (``bench_kernel_perf.py``) and then
-calls this script to diff the fresh ``benchmarks/results/BENCH_kernel.json``
-against the committed repo-root ``BENCH_kernel.json`` baseline.  Raw
-cycles-per-second numbers are machine-dependent, so the gate compares
-the machine-portable *speedup ratios* — ``compiled_speedup`` (compiled
-vs the naive oracle), ``ensemble_speedup`` and ``profile_overhead`` —
-per workload: a workload regresses when a ratio drops more than
-``BENCH_TOLERANCE`` (default 0.25, i.e. >25%) below the baseline.
+"""Regression gates: diff a fresh run against its committed baseline.
 
 Usage::
 
-    python benchmarks/check_regression.py [baseline.json] [current.json]
+    python benchmarks/check_regression.py {kernel|sweep|coverage} [baseline.json] [current.json]
 
-Writes a markdown delta table to stdout, to
-``benchmarks/results/regression_delta.md`` (uploaded as a CI artifact
-even when the gate passes) and, when the ``GITHUB_STEP_SUMMARY``
-environment variable is set (as in GitHub Actions), appends the same
-table to the job summary.  Exits non-zero if any workload regressed.
+Each gate is one ``GATES`` entry:
+
+* ``kernel`` gates the speedup ratios ``bench_kernel_perf.py`` writes per
+  workload; raw cycles/s are machine-dependent, the ratios are not.
+  ``ensemble_speedup`` exists only on the ensemble-capable mt_*
+  workloads and ``profile_overhead`` (cps after a profiler
+  attach/detach round trip vs plain, nominally 1.0) only on mt_pipeline.
+* ``sweep`` and ``coverage`` gate the per-scenario metrics of
+  ``examples/campaigns/paper_sweep.toml`` and ``fuzz_campaign.toml``;
+  coverage also gates the campaign's summary coverage and fault-oracle
+  pass rate (``oracle_ok`` is 0/1 per fault scenario).
+
+Campaign metrics are deterministic, so any sweep or coverage delta is a
+code change; the tolerance separates deliberate re-baselining from
+accidental drift.  Every gate applies one rule set, with tolerance
+``BENCH_TOLERANCE`` (default 0.25):
+
+* a metric regresses when it moves more than the tolerance in its worse
+  direction;
+* a baseline row (workload, or ok scenario) that is missing or failed in
+  the current run regresses; a new row is listed but not gated;
+* a baseline metric missing from the current row regresses; a metric
+  the baseline lacks, or holds as 0, is not gated.
+
+The markdown delta table goes to stdout, to ``<current dir>/<delta
+name>`` (a CI artifact even when the gate passes) and, when
+``GITHUB_STEP_SUMMARY`` is set, to the job summary.  Exits 0 when nothing
+regressed, 1 on a regression, 2 on a usage error or a missing input.
 """
 
 from __future__ import annotations
@@ -26,23 +40,69 @@ import json
 import os
 import pathlib
 import sys
+from typing import NamedTuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_BASELINE = REPO_ROOT / "BENCH_kernel.json"
-DEFAULT_CURRENT = (
-    pathlib.Path(__file__).resolve().parent / "results" / "BENCH_kernel.json"
-)
 
-#: The speedup ratios the gate guards, and their display names.
-#: `ensemble_speedup` (batched vs serial scenarios/sec) only exists on
-#: the ensemble-capable mt_* workloads; `profile_overhead` (cps after a
-#: profiler attach/detach round trip vs plain, nominally 1.0) only on
-#: mt_pipeline; others show "no data".
-RATIOS = (
-    ("compiled_speedup", "compiled/naive"),
-    ("ensemble_speedup", "ensemble/serial"),
-    ("profile_overhead", "profile-off/plain"),
-)
+
+class Gate(NamedTuple):
+    title: str
+    baseline: str  # default paths, relative to the repo root
+    current: str
+    delta_name: str  # written next to the current report
+    #: ``"workloads"`` (a name -> metrics mapping) or ``"scenarios"``
+    #: (the ok scenario rows, keyed by scenario key).
+    rows: str
+    #: ``(metric key, display label, True when higher is better)``.
+    metrics: tuple[tuple[str, str, bool], ...]
+    #: ``(key path under the report's summary, display label)``; higher is better.
+    summary: tuple[tuple[tuple[str, ...], str], ...] = ()
+
+
+GATES = {
+    "kernel": Gate(
+        "Benchmark regression gate",
+        "BENCH_kernel.json",
+        "benchmarks/results/BENCH_kernel.json",
+        "regression_delta.md",
+        "workloads",
+        (
+            ("compiled_speedup", "compiled/naive", True),
+            ("ensemble_speedup", "ensemble/serial", True),
+            ("profile_overhead", "profile-off/plain", True),
+        ),
+    ),
+    "sweep": Gate(
+        "Campaign regression gate",
+        "BENCH_sweep.json",
+        "sweep-results/paper_sweep.json",
+        "sweep_regression_delta.md",
+        "scenarios",
+        (
+            ("cycles", "cycles", False),
+            ("cycles_per_digest", "cyc/digest", False),
+            ("utilization", "util", True),
+            ("ipc", "ipc", True),
+        ),
+    ),
+    "coverage": Gate(
+        "Coverage regression gate",
+        "BENCH_coverage.json",
+        "fuzz-results/fuzz_campaign.json",
+        "coverage_regression_delta.md",
+        "scenarios",
+        (
+            ("coverage_pct", "cov %", True),
+            ("new_states", "states", True),
+            ("mutants_kept", "kept", True),
+            ("oracle_ok", "oracle", True),
+        ),
+        summary=(
+            (("coverage_pct",), "summary cov %"),
+            (("fault_oracles", "pass_rate"), "fault-oracle pass rate"),
+        ),
+    ),
+}
 
 
 def tolerance() -> float:
@@ -56,70 +116,94 @@ def tolerance() -> float:
     return value
 
 
-def compare(baseline: dict, current: dict, tol: float):
-    """Return (markdown lines, regression messages)."""
+def _rows(report: dict, source: str) -> dict[str, dict]:
+    if source == "workloads":
+        return report.get("workloads", {})
+    scenarios = report.get("scenarios", ())
+    return {row["key"]: row.get("metrics", {}) for row in scenarios if row.get("status") == "ok"}
+
+
+def _summary(report: dict, path: tuple[str, ...]):
+    node = report.get("summary", {})
+    for part in path:
+        if not isinstance(node, dict):
+            return None
+        node = node.get(part)
+    return node
+
+
+def compare(name: str, baseline: dict, current: dict, tol: float):
+    """Return (markdown lines, regression messages) for gate *name*."""
+    gate = GATES[name]
+    run = [r.get("campaign", {}).get("name") or r.get("mode", "?") for r in (baseline, current)]
     lines = [
-        "### Benchmark regression gate",
+        f"### {gate.title}",
         "",
-        f"baseline mode `{baseline.get('mode', '?')}` "
-        f"(py {baseline.get('python', '?')}) vs current mode "
-        f"`{current.get('mode', '?')}` (py {current.get('python', '?')}); "
-        f"tolerance {tol:.0%}",
+        f"baseline `{run[0]}` vs current `{run[1]}`; tolerance {tol:.0%}",
         "",
-        "| workload | ratio | baseline | current | delta | status |",
+        f"| {gate.rows[:-1]} | metric | baseline | current | delta | status |",
         "|---|---|---|---|---|---|",
     ]
     regressions: list[str] = []
-    base_workloads = baseline.get("workloads", {})
-    cur_workloads = current.get("workloads", {})
-    for name, base_row in base_workloads.items():
-        cur_row = cur_workloads.get(name)
-        if cur_row is None:
-            regressions.append(f"{name}: missing from current results")
-            lines.append(f"| {name} | — | — | — | — | ❌ missing |")
-            continue
-        for key, label in RATIOS:
-            base_ratio = base_row.get(key)
-            cur_ratio = cur_row.get(key)
-            if base_ratio is None or cur_ratio is None:
-                lines.append(
-                    f"| {name} | {label} | — | — | — | ⏭ no data |"
-                )
-                continue
-            delta = (cur_ratio - base_ratio) / base_ratio
-            ok = cur_ratio >= base_ratio * (1 - tol)
-            status = "✅ ok" if ok else "❌ regressed"
-            lines.append(
-                f"| {name} | {label} | {base_ratio:.2f}x | "
-                f"{cur_ratio:.2f}x | {delta:+.0%} | {status} |"
+
+    def check(row, label, base, cur, higher_better):
+        if not isinstance(base, (int, float)):
+            return  # the baseline does not gate this metric
+        if not isinstance(cur, (int, float)):
+            regressions.append(f"{row}: gated metric {label!r} missing from the current report")
+            lines.append(f"| `{row}` | {label} | {base:g} | — | — | ❌ missing metric |")
+            return
+        if base == 0:
+            return  # a ratio over zero is meaningless; skip
+        delta = (cur - base) / base
+        ok = cur >= base * (1 - tol) if higher_better else cur <= base * (1 + tol)
+        status = "✅ ok" if ok else "❌ regressed"
+        lines.append(f"| `{row}` | {label} | {base:g} | {cur:g} | {delta:+.1%} | {status} |")
+        if not ok:
+            direction = "dropped" if higher_better else "rose"
+            regressions.append(
+                f"{row}: {label} {direction} {base:g} -> {cur:g} "
+                f"({delta:+.1%}, tolerance {tol:.0%})"
             )
-            if not ok:
-                regressions.append(
-                    f"{name}: {label} {base_ratio:.2f}x -> "
-                    f"{cur_ratio:.2f}x ({delta:+.0%}, tolerance -{tol:.0%})"
-                )
-    for name in cur_workloads:
-        if name not in base_workloads:
-            lines.append(f"| {name} | — | new | — | — | ℹ not gated |")
+
+    for path, label in gate.summary:
+        check("summary", label, _summary(baseline, path), _summary(current, path), True)
+    base_rows = _rows(baseline, gate.rows)
+    cur_rows = _rows(current, gate.rows)
+    for key, base_metrics in base_rows.items():
+        cur_metrics = cur_rows.get(key)
+        if cur_metrics is None:
+            regressions.append(f"{key}: missing or failed in current report")
+            lines.append(f"| `{key}` | — | — | — | — | ❌ missing |")
+            continue
+        for metric, label, higher_better in gate.metrics:
+            check(key, label, base_metrics.get(metric), cur_metrics.get(metric), higher_better)
+    for key in cur_rows:
+        if key not in base_rows:
+            lines.append(f"| `{key}` | — | new | — | — | ℹ not gated |")
     return lines, regressions
 
 
 def main(argv: list[str]) -> int:
-    baseline_path = pathlib.Path(argv[1]) if len(argv) > 1 else DEFAULT_BASELINE
-    current_path = pathlib.Path(argv[2]) if len(argv) > 2 else DEFAULT_CURRENT
+    if not 2 <= len(argv) <= 4 or argv[1] not in GATES:
+        print(f"usage: {argv[0]} {{{'|'.join(GATES)}}} [baseline.json] [current.json]")
+        return 2
+    name, gate = argv[1], GATES[argv[1]]
+    baseline_path = pathlib.Path(argv[2]) if len(argv) > 2 else REPO_ROOT / gate.baseline
+    current_path = pathlib.Path(argv[3]) if len(argv) > 3 else REPO_ROOT / gate.current
     for path, what in ((baseline_path, "baseline"), (current_path, "current")):
         if not path.is_file():
             print(f"error: {what} results not found at {path}")
             return 2
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     current = json.loads(current_path.read_text(encoding="utf-8"))
-    lines, regressions = compare(baseline, current, tolerance())
+    lines, regressions = compare(name, baseline, current, tolerance())
     if regressions:
         lines += ["", "**Regressions:**", ""]
         lines += [f"- {msg}" for msg in regressions]
     report = "\n".join(lines) + "\n"
     print(report)
-    delta_path = current_path.parent / "regression_delta.md"
+    delta_path = current_path.parent / gate.delta_name
     try:
         delta_path.write_text(report, encoding="utf-8")
     except OSError as exc:  # the table is advisory; never fail on it

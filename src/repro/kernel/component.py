@@ -247,8 +247,7 @@ class Component:
         """Return a tick-phase :class:`~repro.kernel.slots.SeqPlan`, or None.
 
         The sibling of :meth:`compile_comb`, called once per engine
-        build by the simulator (compiled engine only, and only when
-        ``compile_seq`` is enabled) with the design's
+        build by the simulator (compiled engine only) with the design's
         :class:`~repro.kernel.slots.SeqStore`.  A component may:
 
         * re-home its registered state into a block of ``seq.values``

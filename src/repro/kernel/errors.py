@@ -64,10 +64,9 @@ class FusionBlockedError(SimulationError):
     ``until`` predicate declared with ``strict=True`` (see
     :class:`repro.kernel.simulator.WatchedPredicate`) is combined with a
     configuration that structurally disables idle-stretch fusion:
-    registered observers, a non-compiled engine, ``compile_seq`` turned
-    off, or components whose tick phase is not covered by compiled
-    plans.  The attached ``blockers`` list holds one ``{"kind", "detail"}``
-    dict per reason.
+    registered observers, a non-compiled engine, or components whose
+    tick phase is not covered by compiled plans.  The attached
+    ``blockers`` list holds one ``{"kind", "detail"}`` dict per reason.
     """
 
     def __init__(self, blockers: list[dict]):

@@ -30,9 +30,7 @@ commit reported no state change is skipped outright.  When every plan
 would skip and the settle engine is quiescent, ``run(cycles=...)``
 fuses settle+tick and batches whole cycles without re-entering
 per-component dispatch.  Components without a plan keep the legacy
-per-cycle dispatch transparently; ``compile_seq`` can be force-disabled
-with ``REPRO_SIM_SEQ=0`` (or ``Simulator(compile_seq=False)``) for
-differential testing.
+per-cycle dispatch transparently.
 
 *How* the settle phase reaches its fixed point is delegated to a settle
 engine (:mod:`repro.kernel.engine`), chosen per simulator:
@@ -127,7 +125,7 @@ class WatchedPredicate:
         When True, ``run(until=...)`` raises
         :class:`~repro.kernel.errors.FusionBlockedError` up front if the
         configuration can never fuse (observers registered, non-compiled
-        engine, ``compile_seq`` off, unplanned tick components) instead
+        engine, unplanned tick components) instead
         of silently degrading to cycle-by-cycle polling.
     """
 
@@ -172,13 +170,6 @@ class Simulator:
         ``"naive"`` (brute-force whole-design iteration).  ``None`` reads the
         ``REPRO_SIM_ENGINE`` environment variable, falling back to
         ``"compiled"``.
-    compile_seq:
-        Whether the compiled engine also compiles the tick phase
-        (:class:`~repro.kernel.slots.SeqStore` plans with delta-gated
-        capture and settle+tick fusion).  ``None`` reads the
-        ``REPRO_SIM_SEQ`` environment variable (default on); has no
-        effect under the naive engine, whose tick is always the
-        legacy per-component dispatch.
     profile:
         ``True`` attaches a fresh
         :class:`~repro.obs.profile.KernelProfiler` (available as
@@ -194,7 +185,6 @@ class Simulator:
         self,
         max_settle_iterations: int = 64,
         engine: str | None = None,
-        compile_seq: bool | None = None,
         profile: bool | Any = False,
     ):
         if engine is None:
@@ -203,13 +193,8 @@ class Simulator:
             raise ValueError(
                 f"unknown settle engine {engine!r}; expected one of {ENGINES}"
             )
-        if compile_seq is None:
-            compile_seq = (os.environ.get("REPRO_SIM_SEQ") or "1") not in (
-                "0", "false", "off",
-            )
         self.max_settle_iterations = int(max_settle_iterations)
         self.engine_name = engine
-        self.seq_enabled = bool(compile_seq)
         self.cycle = 0
         self._components: list[Component] = []
         self._by_path: dict[str, Component] = {}
@@ -311,7 +296,7 @@ class Simulator:
         seq_ids: set[int] = set()
         for comp in self._components:
             comp._seq_hook = None
-        if self.engine_name == "compiled" and self.seq_enabled:
+        if self.engine_name == "compiled":
             seq = SeqStore(self._store)
             tick_ids = {id(c) for c in self._capture_list}
             tick_ids.update(id(c) for c in self._commit_list)
@@ -630,8 +615,8 @@ class Simulator:
         Returns one ``{"kind", "detail"}`` dict per reason: registered
         observers (**any** observer — e.g. the coverage maps of
         :mod:`repro.sweep.coverage` — disables fusion and therefore idle
-        batching outright), a non-compiled settle engine, ``compile_seq``
-        disabled, or tick-phase components not covered by compiled plans.
+        batching outright), a non-compiled settle engine, or tick-phase
+        components not covered by compiled plans.
         An empty list means fusion is structurally possible (it still
         only fires on provably quiescent cycles).
         """
@@ -644,11 +629,7 @@ class Simulator:
             blockers.append(
                 {"kind": "engine", "detail": f"engine={self.engine_name!r}"}
             )
-        if not self.seq_enabled:
-            blockers.append(
-                {"kind": "compile_seq", "detail": "compile_seq disabled"}
-            )
-        elif not self._seq_covers_ticks and self.engine_name == "compiled":
+        elif not self._seq_covers_ticks:
             unplanned = sorted(
                 {
                     c.__self__.path
@@ -759,9 +740,8 @@ class Simulator:
 
     @property
     def seq(self) -> SeqStore | None:
-        """The columnar sequential-state store (compiled engine with
-        ``compile_seq`` enabled and at least one planned component),
-        else ``None``."""
+        """The columnar sequential-state store (compiled engine with at
+        least one planned component), else ``None``."""
         self._finalize()
         return self._seq
 
@@ -785,13 +765,11 @@ def build(
     *components: Component,
     max_settle_iterations: int = 64,
     engine: str | None = None,
-    compile_seq: bool | None = None,
 ) -> Simulator:
     """Convenience constructor: make a simulator, add components, reset."""
     sim = Simulator(
         max_settle_iterations=max_settle_iterations,
         engine=engine,
-        compile_seq=compile_seq,
     )
     for comp in components:
         sim.add(comp)

@@ -6,7 +6,10 @@ disagree about behaviour.  Spec validation errors surface as HTTP 400
 with the :meth:`repro.sweep.spec.SpecError.to_dict` body — the same
 ``{path, field, reason}`` structure the CLI renders as text — and
 admission-control rejections as HTTP 429 with the
-:meth:`repro.sweep.jobs.QuotaError.to_dict` body.  Any other exception
+:meth:`repro.sweep.jobs.QuotaError.to_dict` body.  A request body is
+bounded before it is read: a ``Content-Length`` that is not a
+non-negative integer gets a 400 and one over :data:`MAX_BODY_BYTES` a
+413, both ``{"error": {"reason", "field"}}``.  Any other exception
 in a handler is logged with its traceback and answered with HTTP 500
 ``{"error": {"reason", "trace_id"}}`` (the trace id is in the log
 line), unless the response had already started; then the connection
@@ -38,12 +41,24 @@ MAX_WAIT_S = 300.0
 #: Longest an ``/events`` stream waits between events, seconds.
 EVENTS_TIMEOUT_S = 300.0
 
+#: Largest request body accepted, bytes.  A longer declared
+#: ``Content-Length`` is answered 413 before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
+
 log = logging.getLogger(__name__)
 
 _CAMPAIGN_ROUTE = re.compile(
     r"^/campaigns/(?P<job_id>[\w.\-]+)"
     r"(?P<rest>/report|/cancel|/trace|/events)?$"
 )
+
+
+class _BodyRefused(Exception):
+    """A request body refused on its declared length alone."""
+
+    def __init__(self, status: int, reason: str):
+        super().__init__(reason)
+        self.status = status
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -72,7 +87,20 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": {"reason": reason, **extra}})
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise _BodyRefused(
+                400,
+                f"invalid Content-Length {declared!r}: expected a "
+                "non-negative integer",
+            )
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise _BodyRefused(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("empty request body")
@@ -233,6 +261,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if path == "/campaigns":
             try:
                 data = self._read_body()
+            except _BodyRefused as exc:
+                # The unread body must not be parsed as a next request.
+                self.close_connection = True
+                return self._error(exc.status, str(exc), field="Content-Length")
             except ValueError as exc:
                 return self._error(400, f"invalid JSON body: {exc}")
             try:

@@ -35,7 +35,7 @@ Two campaign families built on the structural coverage maps of
 Both families report through the common campaign machinery; the new
 summary metrics (``coverage_pct``, ``new_states``, ``faults_survived``,
 fault-oracle pass rate) are folded in :mod:`repro.sweep.report` and
-gated in CI by ``benchmarks/check_coverage_regression.py``.
+gated in CI by ``benchmarks/check_regression.py coverage``.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 PR 6 split this module's old orchestration/execution mix in two:
 
 * **Execution** (this module): :func:`execute_scenario` builds — or
-  rewinds — a design and drives one scenario to metrics.  It is the
-  single primitive every runner shares: the in-process batch path, the
-  campaign service's persistent workers, and ad-hoc programmatic use.
+  rewinds — a design and drives one scenario to metrics
+  (:func:`execute_unit` adds ensemble batches on top).  It is the
+  single primitive every runner shares: the jobs scheduler's thread and
+  process workers, and ad-hoc programmatic use.
 * **Orchestration** (:mod:`repro.sweep.jobs`): job queueing, worker
   pools, result-store dedup and report assembly.  :func:`run_campaign`
   is kept here as the stable one-shot entry point but is now a thin
@@ -329,70 +330,6 @@ def execute_scenario(
         row["error"] = traceback.format_exc()
     row["duration_s"] = round(time.perf_counter() - start, 4)
     return row
-
-
-def run_scenarios(
-    scenarios: Sequence[ScenarioSpec],
-    engine: str | None,
-    shard: int = 0,
-    cache: dict | None = None,
-    ensemble: Any = "off",
-    profile: bool = False,
-    tracer: Any = None,
-    parent: Any = None,
-) -> list[dict[str, Any]]:
-    """Run *scenarios* in this process (one worker's shard).
-
-    A fresh design cache is used unless the caller passes one — the
-    service's workers pass their long-lived cache so designs survive
-    from job to job.  With *ensemble* enabled (``"auto"`` or a lane
-    cap), batchable scenarios run in lockstep; rows always come back in
-    input order regardless of how units were planned.
-    """
-    if cache is None:
-        cache = {}
-    by_index: dict[int, dict[str, Any]] = {}
-    for unit in plan_units(scenarios, ensemble):
-        rows = execute_unit(
-            unit,
-            engine,
-            cache=cache,
-            shard=shard,
-            profile=profile,
-            tracer=tracer,
-            parent=parent,
-        )
-        for row in rows:
-            by_index[row["index"]] = row
-    return [by_index[scenario.index] for scenario in scenarios]
-
-
-def shard_scenarios(
-    spec: CampaignSpec, workers: int
-) -> list[list[ScenarioSpec]]:
-    """Deterministic shard assignment: design groups dealt round-robin.
-
-    Groups (not single scenarios) are the unit of distribution so a
-    worker can amortize one build across all of a design's scenarios;
-    group order follows first appearance in the spec, which makes the
-    assignment reproducible from the spec alone.  (The long-running
-    service places designs by ownership claim instead — see
-    :class:`repro.sweep.jobs._Backlog` — so that a design stays on one
-    worker *across* jobs.)
-    """
-    groups: dict[str, list[ScenarioSpec]] = {}
-    order: list[str] = []
-    for scenario in spec.scenarios:
-        key = scenario.design_key()
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(scenario)
-    n_shards = max(1, min(workers, len(order)))
-    shards: list[list[ScenarioSpec]] = [[] for _ in range(n_shards)]
-    for i, key in enumerate(order):
-        shards[i % n_shards].extend(groups[key])
-    return [shard for shard in shards if shard]
 
 
 def run_campaign(

@@ -18,8 +18,6 @@ replaying the shipped examples under every engine via the
 
 from __future__ import annotations
 
-import contextlib
-import os
 import pathlib
 import runpy
 import sys
@@ -53,33 +51,6 @@ from tests.conftest import make_mt_pipeline
 
 ENGINES = ("naive", "compiled")
 
-#: The trace/application differentials additionally pin the compiled
-#: engine with its tick-phase compilation force-disabled, so the legacy
-#: per-component capture/commit dispatch stays cycle-identical to the
-#: SeqStore plans (and to the other engines).
-TICK_VARIANTS = ENGINES + ("compiled-noseq",)
-
-
-@contextlib.contextmanager
-def engine_context(variant: str):
-    """Yield the engine name for *variant*, pinning env for noseq.
-
-    ``Simulator`` reads ``REPRO_SIM_SEQ`` at construction time, so the
-    variable only needs to be set while the factory builds the sim.
-    """
-    if variant != "compiled-noseq":
-        yield variant
-        return
-    old = os.environ.get("REPRO_SIM_SEQ")
-    os.environ["REPRO_SIM_SEQ"] = "0"
-    try:
-        yield "compiled"
-    finally:
-        if old is None:
-            del os.environ["REPRO_SIM_SEQ"]
-        else:
-            os.environ["REPRO_SIM_SEQ"] = old
-
 
 def run_and_trace(sim: Simulator, cycles: int) -> list[dict[str, object]]:
     """Step *cycles* times, sampling every signal after each settle."""
@@ -93,15 +64,14 @@ def run_and_trace(sim: Simulator, cycles: int) -> list[dict[str, object]]:
 
 
 def assert_identical_traces(factory, cycles: int) -> None:
-    """Build the network once per engine variant and compare traces."""
+    """Build the network once per engine and compare traces."""
     traces = {}
-    for variant in TICK_VARIANTS:
-        with engine_context(variant) as engine:
-            sim = factory(engine)
-        traces[variant] = run_and_trace(sim, cycles)
+    for engine in ENGINES:
+        sim = factory(engine)
+        traces[engine] = run_and_trace(sim, cycles)
     naive = traces["naive"]
     assert len(naive) == cycles
-    for engine in TICK_VARIANTS[1:]:
+    for engine in ENGINES[1:]:
         other = traces[engine]
         assert len(other) == cycles
         for cycle, (rown, rowe) in enumerate(zip(naive, other)):
@@ -243,83 +213,77 @@ class TestMultithreadedNetworks:
 class TestApplications:
     def test_md5_identical_digests_and_cycles(self):
         results = {}
-        for variant in TICK_VARIANTS:
-            with engine_context(variant) as engine:
-                h = MD5Hasher(threads=4, engine=engine)
+        for engine in ENGINES:
+            h = MD5Hasher(threads=4, engine=engine)
             digests = h.hash_batch([b"alpha", b"beta", b"gamma", b"delta"])
-            results[variant] = (digests, h.circuit.sim.cycle,
-                                h.circuit.round_counter)
-        for variant in TICK_VARIANTS[1:]:
-            assert results["naive"] == results[variant], variant
+            results[engine] = (digests, h.circuit.sim.cycle,
+                               h.circuit.round_counter)
+        for engine in ENGINES[1:]:
+            assert results["naive"] == results[engine], engine
 
     def test_md5_pipelined_rounds_identical(self):
         results = {}
-        for variant in TICK_VARIANTS:
-            with engine_context(variant) as engine:
-                h = MD5Hasher(threads=4, round_stages=4, engine=engine)
+        for engine in ENGINES:
+            h = MD5Hasher(threads=4, round_stages=4, engine=engine)
             digests = h.hash_batch([b"pipelined", b"round"])
-            results[variant] = (digests, h.circuit.sim.cycle)
-        for variant in TICK_VARIANTS[1:]:
-            assert results["naive"] == results[variant], variant
+            results[engine] = (digests, h.circuit.sim.cycle)
+        for engine in ENGINES[1:]:
+            assert results["naive"] == results[engine], engine
 
     def test_processor_identical_execution(self):
         results = {}
-        for variant in TICK_VARIANTS:
-            with engine_context(variant) as engine:
-                cpu = Processor(threads=4, meb="reduced", engine=engine)
+        for engine in ENGINES:
+            cpu = Processor(threads=4, meb="reduced", engine=engine)
             mix = programs.standard_mix()
             for t in range(4):
                 cpu.load_program(t, mix[t % len(mix)].source)
             stats = cpu.run()
             regs = [[cpu.reg(t, r) for r in range(8)] for t in range(4)]
-            results[variant] = (stats.cycles, tuple(stats.retired), regs)
-        for variant in TICK_VARIANTS[1:]:
-            assert results["naive"] == results[variant], variant
+            results[engine] = (stats.cycles, tuple(stats.retired), regs)
+        for engine in ENGINES[1:]:
+            assert results["naive"] == results[engine], engine
 
     def test_processor_full_meb_identical(self):
         results = {}
-        for variant in TICK_VARIANTS:
-            with engine_context(variant) as engine:
-                cpu = Processor(threads=2, meb="full", engine=engine)
+        for engine in ENGINES:
+            cpu = Processor(threads=2, meb="full", engine=engine)
             cpu.load_program(0, programs.standard_mix()[0].source)
             cpu.load_program(1, programs.standard_mix()[1].source)
             stats = cpu.run()
-            results[variant] = (stats.cycles, tuple(stats.retired))
-        for variant in TICK_VARIANTS[1:]:
-            assert results["naive"] == results[variant], variant
+            results[engine] = (stats.cycles, tuple(stats.retired))
+        for engine in ENGINES[1:]:
+            assert results["naive"] == results[engine], engine
 
     @pytest.mark.parametrize(
         "program", programs.standard_mix()[:5], ids=lambda p: p.name
     )
     def test_processor_each_program_identical(self, program):
         """Per-program RunStats and architectural state pinned across
-        naive/compiled/compiled-noseq (the slot-ported stages must
-        be cycle-exact for every instruction class, not just the mix)."""
+        naive/compiled (the slot-ported stages must be cycle-exact for
+        every instruction class, not just the mix)."""
         results = {}
-        for variant in TICK_VARIANTS:
-            with engine_context(variant) as engine:
-                cpu = Processor(threads=1, meb="reduced", engine=engine)
+        for engine in ENGINES:
+            cpu = Processor(threads=1, meb="reduced", engine=engine)
             cpu.load_program(0, program.source)
             stats = cpu.run()
-            results[variant] = (
+            results[engine] = (
                 stats.cycles,
                 tuple(stats.retired),
                 cpu.regfile.dump(0),
                 cpu.dmem.dump(0),
             )
-        for variant in TICK_VARIANTS[1:]:
-            assert results["naive"] == results[variant], variant
+        for engine in ENGINES[1:]:
+            assert results["naive"] == results[engine], engine
 
     def test_processor_memory_programs_identical(self):
         """memcpy + dot-product: loads, stores and the long-latency
         multiplier, with a pre-seeded data-memory image, across all
-        engine variants."""
+        engines."""
         memcpy_prog, memcpy_image = programs.memcpy([7, 11, 13, 17])
         dot_prog, dot_image = programs.dot_product([3, 5, 7], [2, 4, 6])
         results = {}
-        for variant in TICK_VARIANTS:
-            with engine_context(variant) as engine:
-                cpu = Processor(threads=2, meb="reduced", engine=engine)
+        for engine in ENGINES:
+            cpu = Processor(threads=2, meb="reduced", engine=engine)
             for addr, value in memcpy_image.items():
                 cpu.dmem.write(0, addr, value)
             for addr, value in dot_image.items():
@@ -327,14 +291,14 @@ class TestApplications:
             cpu.load_program(0, memcpy_prog.source)
             cpu.load_program(1, dot_prog.source)
             stats = cpu.run()
-            results[variant] = (
+            results[engine] = (
                 stats.cycles,
                 tuple(stats.retired),
                 cpu.dmem.dump(0),
                 cpu.dmem.dump(1),
             )
-        for variant in TICK_VARIANTS[1:]:
-            assert results["naive"] == results[variant], variant
+        for engine in ENGINES[1:]:
+            assert results["naive"] == results[engine], engine
         kind, where = memcpy_prog.check
         assert results["naive"][2][where] == memcpy_prog.expected
         kind, where = dot_prog.check
@@ -561,19 +525,18 @@ EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[1] / "examples"
 )
 def test_example_output_engine_invariant(example, capsys, monkeypatch):
     outputs = {}
-    for variant in TICK_VARIANTS:
-        with engine_context(variant) as engine:
-            monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-            argv = sys.argv
-            try:
-                sys.argv = [str(EXAMPLES_DIR / example)]
-                runpy.run_path(str(EXAMPLES_DIR / example),
-                               run_name="__main__")
-            finally:
-                sys.argv = argv
-        outputs[variant] = capsys.readouterr().out
-    for variant in TICK_VARIANTS[1:]:
-        assert outputs["naive"] == outputs[variant], variant
+    for engine in ENGINES:
+        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+        argv = sys.argv
+        try:
+            sys.argv = [str(EXAMPLES_DIR / example)]
+            runpy.run_path(str(EXAMPLES_DIR / example),
+                           run_name="__main__")
+        finally:
+            sys.argv = argv
+        outputs[engine] = capsys.readouterr().out
+    for engine in ENGINES[1:]:
+        assert outputs["naive"] == outputs[engine], engine
 
 
 # ----------------------------------------------------------------------
@@ -583,8 +546,7 @@ def test_example_output_engine_invariant(example, capsys, monkeypatch):
 class TestForkDifferential:
     """``fork()`` mid-run must be unobservable — under every engine.
 
-    For each engine variant (including the compiled engine with the
-    tick compilation disabled), a run that snapshots mid-flight and a
+    For each engine, a run that snapshots mid-flight and a
     rewound re-run of the same stretch must produce the state an
     uninterrupted run produces; and because the engines are themselves
     cycle-identical, the fingerprints must also agree *across* engines.
@@ -612,9 +574,8 @@ class TestForkDifferential:
 
     def test_fork_mid_run_equals_uninterrupted(self):
         fingerprints = {}
-        for variant in TICK_VARIANTS:
-            with engine_context(variant) as engine:
-                sim, _src, sink, _mebs, mons = self._factory(engine)
+        for engine in ENGINES:
+            sim, _src, sink, _mebs, mons = self._factory(engine)
             sim.run(cycles=13)
             snap = sim.snapshot()
             sim.run(cycles=50)
@@ -624,13 +585,12 @@ class TestForkDifferential:
             assert sim.cycle == 13
             sim.run(cycles=50)
             rewound = self._fingerprint(sim, sink, mons[-1])
-            assert rewound == interrupted, variant
+            assert rewound == interrupted, engine
 
-            with engine_context(variant) as engine:
-                ref_sim, _s, ref_sink, _m, ref_mons = self._factory(engine)
+            ref_sim, _s, ref_sink, _m, ref_mons = self._factory(engine)
             ref_sim.run(cycles=63)
             reference = self._fingerprint(ref_sim, ref_sink, ref_mons[-1])
-            assert reference == interrupted, variant
-            fingerprints[variant] = interrupted
-        for variant in TICK_VARIANTS[1:]:
-            assert fingerprints[variant] == fingerprints["naive"], variant
+            assert reference == interrupted, engine
+            fingerprints[engine] = interrupted
+        for engine in ENGINES[1:]:
+            assert fingerprints[engine] == fingerprints["naive"], engine

@@ -12,16 +12,14 @@ The load-bearing properties:
 * every registered fault kind trips its oracle the way the menagerie
   table (:data:`repro.sweep.fuzz.FAULT_KINDS`) promises, and a fault
   armed beyond the run window leaves the design indistinguishable from
-  a healthy one;
-* the coverage regression gate regresses on coverage/oracle drops and
-  tolerates identical reports.
+  a healthy one.
+
+The coverage regression gate is tested in ``test_regression_gate.py``.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import pathlib
 import random
 
 import pytest
@@ -273,93 +271,3 @@ class TestFuzzCampaign:
             1 for expected, _d in FAULT_KINDS.values()
             if expected == "survived"
         )
-
-
-# ----------------------------------------------------------------------
-# the coverage regression gate
-# ----------------------------------------------------------------------
-
-class TestCoverageRegressionGate:
-    """benchmarks/check_coverage_regression.py — the fuzz-level gate."""
-
-    @staticmethod
-    def _gate():
-        spec = importlib.util.spec_from_file_location(
-            "check_coverage_regression",
-            pathlib.Path(__file__).parent.parent
-            / "benchmarks" / "check_coverage_regression.py",
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    @staticmethod
-    def _report():
-        return {
-            "campaign": {"name": "t", "seed": 1, "engine": None, "workers": 1},
-            "summary": {
-                "coverage_pct": 50.0,
-                "fault_oracles": {"scenarios": 2, "passed": 2,
-                                  "pass_rate": 1.0},
-            },
-            "scenarios": [
-                {
-                    "key": "fuzz(base=mt_pipeline,threads=2)/fuzz",
-                    "status": "ok",
-                    "metrics": {"coverage_pct": 50.0, "new_states": 40,
-                                "mutants_kept": 5},
-                },
-                {
-                    "key": "fault(fault=drop,threads=2)/inject",
-                    "status": "ok",
-                    "metrics": {"oracle_ok": True},
-                },
-            ],
-        }
-
-    def test_identical_reports_pass(self):
-        gate = self._gate()
-        lines, regressions = gate.compare(self._report(), self._report(), 0.25)
-        assert not regressions
-        assert any("✅" in line for line in lines)
-
-    def test_coverage_drop_and_oracle_flip_regress(self):
-        gate = self._gate()
-        current = self._report()
-        current["scenarios"][0]["metrics"]["coverage_pct"] = 30.0  # -40%
-        current["scenarios"][1]["metrics"]["oracle_ok"] = False
-        current["summary"]["coverage_pct"] = 30.0
-        current["summary"]["fault_oracles"]["pass_rate"] = 0.5
-        _lines, regressions = gate.compare(self._report(), current, 0.25)
-        assert len(regressions) == 4
-        assert any("cov %" in msg for msg in regressions)
-        assert any("oracle" in msg for msg in regressions)
-        assert any("pass rate" in msg for msg in regressions)
-
-    def test_missing_scenario_regresses_new_not_gated(self):
-        gate = self._gate()
-        current = self._report()
-        current["scenarios"][1]["status"] = "error"
-        current["scenarios"].append({
-            "key": "fault(fault=duplicate,threads=2)/inject",
-            "status": "ok",
-            "metrics": {"oracle_ok": True},
-        })
-        lines, regressions = gate.compare(self._report(), current, 0.25)
-        assert regressions and "missing or failed" in regressions[0]
-        assert any("not gated" in line for line in lines)
-
-    def test_main_writes_delta_and_exit_codes(self, tmp_path, monkeypatch):
-        gate = self._gate()
-        base_path = tmp_path / "base.json"
-        cur_path = tmp_path / "cur.json"
-        base_path.write_text(json.dumps(self._report()), encoding="utf-8")
-        cur_path.write_text(json.dumps(self._report()), encoding="utf-8")
-        monkeypatch.delenv("BENCH_TOLERANCE", raising=False)
-        assert gate.main(["x", str(base_path), str(cur_path)]) == 0
-        assert (tmp_path / "coverage_regression_delta.md").exists()
-        bad = self._report()
-        bad["summary"]["coverage_pct"] = 1.0
-        cur_path.write_text(json.dumps(bad), encoding="utf-8")
-        assert gate.main(["x", str(base_path), str(cur_path)]) == 1
-        assert gate.main(["x", str(base_path), str(tmp_path / "nope")]) == 2

@@ -29,14 +29,6 @@ PROGRAMS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _seq_enabled(monkeypatch):
-    """Pin the seq machinery on regardless of ambient REPRO_SIM_SEQ
-    (the differential suite covers the off variant)."""
-    monkeypatch.setenv("REPRO_SIM_SEQ", "1")
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-
-
 def make_cpu(engine="compiled", threads=4, meb="reduced"):
     cpu = Processor(threads=threads, meb=meb, engine=engine)
     names = list(PROGRAMS)
@@ -182,15 +174,3 @@ class TestSnapshotMidProgram:
         assert cpu.sim.cycle == 25
         cpu.run()
         assert arch_state(cpu) == done
-
-    def test_noseq_variant_still_snapshots(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SEQ", "0")
-        cpu = make_cpu()
-        assert cpu.sim.seq is None
-        cpu.run_cycles(30)
-        with cpu.sim.fork():
-            first = cpu.run()
-        second = cpu.run()
-        assert (first.cycles, list(first.retired)) == (
-            second.cycles, list(second.retired),
-        )

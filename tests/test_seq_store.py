@@ -2,9 +2,8 @@
 
 Covers what the engine differential suite cannot see from traces alone:
 
-* which components land in the SeqStore and how force-disabling
-  ``compile_seq`` (``REPRO_SIM_SEQ=0`` / ``Simulator(compile_seq=False)``)
-  falls back to the legacy per-cycle dispatch;
+* which components land in the SeqStore, and that engines other than
+  the compiled one keep the legacy per-cycle dispatch;
 * ``Simulator.reset()`` — plans and slot-backed state rebuild to a
   clean power-on state, traces from a reset sim match a fresh one;
 * ``Simulator.rebuild()`` — re-homing sequential slots into a fresh
@@ -19,19 +18,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FullMEB, MTChannel, MTSink, MTSource, ReducedMEB
+from repro.core import FullMEB, ReducedMEB
 from repro.core.arbiter import FixedPriorityArbiter
-from repro.kernel import Simulator, build
 from repro.kernel.values import same_value
 
 from tests.conftest import make_mt_pipeline
-
-
-@pytest.fixture(autouse=True)
-def _seq_enabled(monkeypatch):
-    """These tests exercise the seq machinery; pin it on regardless of
-    any ambient REPRO_SIM_SEQ (the differential suite covers off)."""
-    monkeypatch.setenv("REPRO_SIM_SEQ", "1")
 
 
 def drain_run(sim, cycles):
@@ -79,27 +70,6 @@ class TestPlanWiring:
         # The component accessors and the raw seq slots are one storage.
         meb = mebs[0]
         assert meb._queues == seq.values[meb._sq:meb._sq + meb.threads]
-
-    def test_seq_disabled_by_flag_and_env(self, monkeypatch):
-        items = [list(range(3)) for _ in range(2)]
-
-        def make(**kw):
-            sim = Simulator(engine="compiled", **kw)
-            chans = [MTChannel(f"c{i}", threads=2) for i in range(2)]
-            src = MTSource("src", chans[0], items=items)
-            meb = FullMEB("meb", chans[0], chans[1])
-            snk = MTSink("snk", chans[1])
-            for c in (*chans, src, meb, snk):
-                sim.add(c)
-            sim.reset()
-            return sim
-
-        assert make().seq is not None
-        assert make(compile_seq=False).seq is None
-        monkeypatch.setenv("REPRO_SIM_SEQ", "0")
-        assert make().seq is None
-        monkeypatch.setenv("REPRO_SIM_SEQ", "1")
-        assert make().seq is not None
 
     def test_other_engines_have_no_seq(self):
         items = [list(range(3)) for _ in range(2)]

@@ -11,14 +11,17 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+import socket
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
 from repro.serve import ServiceClient, ServiceError, make_server
-from repro.serve.http import ServiceHandler
+from repro.serve.http import MAX_BODY_BYTES, ServiceHandler
 from repro.sweep import __main__ as sweep_cli
 from repro.sweep.jobs import JobService
 from repro.sweep.registry import _REGISTRY, Family, register_family, registry_payload
@@ -226,6 +229,43 @@ class TestRoutes:
         assert all(any(tid in msg for msg in logged) for tid in trace_ids)
         assert "status backend exploded" in caplog.text
         # The server keeps serving.
+        assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            ("-1", 400),
+            ("abc", 400),
+            ("1.5", 400),
+            ("99999999999", 413),
+            (str(MAX_BODY_BYTES + 1), 413),
+        ],
+    )
+    def test_bad_content_length_answered_before_reading(
+        self, service_client, length, status
+    ):
+        client, service = service_client
+        host, port = urllib.parse.urlsplit(client.base_url).netloc.split(":")
+        head = (
+            f"POST /campaigns HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        start = time.perf_counter()
+        # No body follows and the socket stays open: a server that tried
+        # to read the body would block until the 1 s timeout fires.
+        with socket.create_connection((host, int(port)), timeout=1.0) as sock:
+            sock.sendall(head)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        assert time.perf_counter() - start < 1.0
+        status_line, _, rest = response.partition(b"\r\n")
+        assert int(status_line.split()[1]) == status
+        error = json.loads(rest.partition(b"\r\n\r\n")[2])["error"]
+        assert error["field"] == "Content-Length"
+        assert length in error["reason"]
+        assert service.list_jobs() == []
         assert client.healthz()["status"] == "ok"
 
 

@@ -26,7 +26,7 @@ from repro.sweep import (
 from repro.kernel import ENGINES
 from repro.sweep.registry import Family, register_family
 from repro.sweep.report import render_markdown, write_report
-from repro.sweep.runner import run_scenarios, shard_scenarios
+from repro.sweep.runner import execute_scenario
 from repro.sweep.spec import from_dict
 
 #: A small but representative campaign: three families, grids over
@@ -222,18 +222,6 @@ class TestRegistry:
 
 
 class TestRunner:
-    def test_sharding_groups_designs(self):
-        spec = from_dict(SMALL_CAMPAIGN)
-        shards = shard_scenarios(spec, 2)
-        assert sum(len(s) for s in shards) == len(spec.scenarios)
-        # Scenarios of one design key never split across shards.
-        for key in {sc.design_key() for sc in spec.scenarios}:
-            holders = [
-                i for i, shard in enumerate(shards)
-                if any(sc.design_key() == key for sc in shard)
-            ]
-            assert len(holders) == 1
-
     def test_serial_campaign_runs_and_reuses_designs(self):
         spec = from_dict(SMALL_CAMPAIGN)
         report = run_campaign(spec, workers=1)
@@ -323,14 +311,14 @@ class TestRunner:
             },
             metrics={"window": "full"},
         )
-        rows_a = run_scenarios([scenario], engine="compiled")
-        rows_b = run_scenarios([scenario], engine="naive")
-        assert rows_a[0]["status"] == "ok", rows_a[0].get("error")
-        variants = rows_a[0]["metrics"]["variants"]
+        row_a = execute_scenario(scenario, engine="compiled")
+        row_b = execute_scenario(scenario, engine="naive")
+        assert row_a["status"] == "ok", row_a.get("error")
+        variants = row_a["metrics"]["variants"]
         assert [v["variant"] for v in variants] == [0, 1]
         # Each variant replayed from the same branch point, so variant
         # metrics are engine-invariant and mutually independent.
-        assert rows_a[0]["metrics"] == rows_b[0]["metrics"]
+        assert row_a["metrics"] == row_b["metrics"]
 
 
 class TestReportAndCLI:
@@ -445,113 +433,3 @@ class TestReportAndCLI:
         mutated = json.loads(json.dumps(serial))
         mutated["scenarios"][0]["metrics"]["cycles"] = -1
         assert canonical_report(mutated) != canonical_report(serial)
-
-
-class TestSweepRegressionGate:
-    """benchmarks/check_sweep_regression.py — the campaign-level gate."""
-
-    @staticmethod
-    def _gate():
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "check_sweep_regression",
-            pathlib.Path(__file__).parent.parent
-            / "benchmarks" / "check_sweep_regression.py",
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    @staticmethod
-    def _report(**overrides):
-        base = {
-            "campaign": {"name": "t", "seed": 1, "engine": None, "workers": 1},
-            "summary": {},
-            "scenarios": [
-                {
-                    "key": "mt_pipeline(threads=2)/uniform",
-                    "status": "ok",
-                    "metrics": {"cycles": 100, "utilization": 0.8},
-                },
-                {
-                    "key": "processor(threads=2)/bursty[kind=bursty]",
-                    "status": "ok",
-                    "metrics": {"cycles": 500, "ipc": 1.5},
-                },
-            ],
-        }
-        base.update(overrides)
-        return base
-
-    def test_identical_reports_pass(self):
-        gate = self._gate()
-        lines, regressions = gate.compare(self._report(), self._report(), 0.25)
-        assert not regressions
-        assert any("✅" in line for line in lines)
-
-    def test_cycle_rise_and_ipc_drop_regress(self):
-        gate = self._gate()
-        current = self._report()
-        current["scenarios"][0]["metrics"]["cycles"] = 150   # +50% cycles
-        current["scenarios"][1]["metrics"]["ipc"] = 1.0      # -33% ipc
-        lines, regressions = gate.compare(self._report(), current, 0.25)
-        assert len(regressions) == 2
-        assert any("cycles" in msg for msg in regressions)
-        assert any("ipc" in msg for msg in regressions)
-
-    def test_vanished_gated_metric_regresses(self):
-        gate = self._gate()
-        current = self._report()
-        del current["scenarios"][0]["metrics"]["cycles"]  # shape drift
-        _lines, regressions = gate.compare(self._report(), current, 0.25)
-        assert regressions and "missing from the current report" in regressions[0]
-
-    def test_missing_or_failed_scenario_regresses(self):
-        gate = self._gate()
-        current = self._report()
-        current["scenarios"][1]["status"] = "error"
-        _lines, regressions = gate.compare(self._report(), current, 0.25)
-        assert regressions and "missing or failed" in regressions[0]
-
-    def test_new_scenario_not_gated(self):
-        gate = self._gate()
-        current = self._report()
-        current["scenarios"].append({
-            "key": "mt_ring(trips=2)/uniform",
-            "status": "ok",
-            "metrics": {"cycles": 10},
-        })
-        lines, regressions = gate.compare(self._report(), current, 0.25)
-        assert not regressions
-        assert any("not gated" in line for line in lines)
-
-    def test_main_writes_delta_and_exit_codes(self, tmp_path, monkeypatch):
-        gate = self._gate()
-        base_path = tmp_path / "base.json"
-        cur_path = tmp_path / "cur.json"
-        base_path.write_text(json.dumps(self._report()), encoding="utf-8")
-        current = self._report()
-        cur_path.write_text(json.dumps(current), encoding="utf-8")
-        monkeypatch.delenv("BENCH_TOLERANCE", raising=False)
-        assert gate.main(["x", str(base_path), str(cur_path)]) == 0
-        assert (tmp_path / "sweep_regression_delta.md").exists()
-        current["scenarios"][0]["metrics"]["cycles"] = 1000
-        cur_path.write_text(json.dumps(current), encoding="utf-8")
-        assert gate.main(["x", str(base_path), str(cur_path)]) == 1
-        assert gate.main(["x", str(tmp_path / "nope.json"), str(cur_path)]) == 2
-
-    def test_committed_baseline_matches_a_fresh_campaign_run(self):
-        """The acceptance property: the example campaign reproduces the
-        committed BENCH_sweep.json scenario metrics bit-for-bit."""
-        if sys.version_info < (3, 11):
-            pytest.skip("tomllib needs Python 3.11+")
-        gate = self._gate()
-        root = pathlib.Path(__file__).parent.parent
-        baseline = json.loads(
-            (root / "BENCH_sweep.json").read_text(encoding="utf-8")
-        )
-        spec = load_spec(root / "examples" / "campaigns" / "paper_sweep.toml")
-        report = run_campaign(spec, workers=1)
-        _lines, regressions = gate.compare(baseline, report, 0.0)
-        assert not regressions
