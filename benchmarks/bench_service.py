@@ -117,6 +117,9 @@ REQUIRED_METRICS = (
     "repro_scenario_retries_total",
     "repro_jobs_rejected_total",
     "repro_drain_seconds",
+    # Work stealing: present from the first scrape, even before any
+    # idle worker has stolen a design from a busy one.
+    "repro_units_stolen_total",
 )
 
 

@@ -297,6 +297,18 @@ class MD5Hasher:
                                   round_stages=round_stages, engine=engine)
         self.threads = threads
         self._wave_ref = 0
+        # The wave counter tags message-store blocks and tokens, so it is
+        # simulated state: snapshot/restore/fork rewind it with the
+        # circuit, which lets one built hasher serve many scenarios.
+        self.sim.add_snapshot_hook(lambda: self._wave_ref, self._load_wave_ref)
+
+    @property
+    def sim(self):
+        """The circuit's simulator (what the campaign design cache rewinds)."""
+        return self.circuit.sim
+
+    def _load_wave_ref(self, wave_ref: int) -> None:
+        self._wave_ref = wave_ref
 
     def hash_batch(self, messages: Sequence[bytes]) -> list[str]:
         """Digest up to ``threads`` messages concurrently (one per thread).

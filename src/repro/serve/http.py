@@ -9,8 +9,11 @@ admission-control rejections as HTTP 429 with the
 :meth:`repro.sweep.jobs.QuotaError.to_dict` body.  A request body is
 bounded before it is read: a ``Content-Length`` that is not a
 non-negative integer gets a 400 and one over :data:`MAX_BODY_BYTES` a
-413, both ``{"error": {"reason", "field"}}``.  Any other exception
-in a handler is logged with its traceback and answered with HTTP 500
+413, both ``{"error": {"reason", "field"}}``.  A job id the service
+evicted from its finished-job history gets a 404 whose body names the
+eviction (``{"error": {"reason", "job_id", "evicted": true}}``).  Any
+other exception in a handler is logged with its traceback and
+answered with HTTP 500
 ``{"error": {"reason", "trace_id"}}`` (the trace id is in the log
 line), unless the response had already started; then the connection
 is closed, as it is, quietly, when the client went away.
@@ -31,7 +34,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
-from repro.sweep.jobs import JobService, QuotaError
+from repro.sweep.jobs import JobEvicted, JobService, QuotaError
 from repro.sweep.registry import registry_payload
 from repro.sweep.spec import SpecError
 
@@ -85,6 +88,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _error(self, status: int, reason: str, **extra: Any) -> None:
         self._send_json(status, {"error": {"reason": reason, **extra}})
+
+    def _unknown_job(self, job_id: str, exc: KeyError) -> None:
+        if isinstance(exc, JobEvicted):
+            return self._error(404, exc.reason, job_id=job_id, evicted=True)
+        return self._error(404, f"unknown job id {job_id!r}")
 
     def _read_body(self) -> Any:
         declared = (self.headers.get("Content-Length") or "0").strip()
@@ -180,8 +188,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             job_id = match.group("job_id")
             try:
                 status = self.service.status(job_id)
-            except KeyError:
-                return self._error(404, f"unknown job id {job_id!r}")
+            except KeyError as exc:
+                return self._unknown_job(job_id, exc)
             rest = match.group("rest")
             if rest is None:
                 return self._send_json(200, status)
@@ -286,8 +294,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             job_id = match.group("job_id")
             try:
                 cancelled = self.service.cancel(job_id)
-            except KeyError:
-                return self._error(404, f"unknown job id {job_id!r}")
+            except KeyError as exc:
+                return self._unknown_job(job_id, exc)
             payload = self.service.status(job_id)
             payload["cancelled"] = cancelled
             return self._send_json(200, payload)

@@ -13,7 +13,7 @@ family                    structural params                      reusable
 ``mt_pipeline``           threads, n_stages, meb, width          yes
 ``mt_chain``              threads, n_funcs, width                yes
 ``mt_ring``               threads, n_funcs, trips, width         yes
-``md5``                   threads, meb, round_stages             no
+``md5``                   threads, meb, round_stages             yes
 ``processor``             threads, meb                           yes
 ``fuzz``                  base, threads, n_stages, meb, width    yes
 ``fault``                 fault, threads, fire_at, period,       no
@@ -906,7 +906,9 @@ register_family(Family(
     name="md5",
     build=_build_md5,
     run=_run_md5,
-    reusable=False,
+    # The round counter and the hasher's wave counter are registered
+    # snapshot hooks, so a built circuit rewinds between scenarios.
+    reusable=True,
     description="multithreaded elastic MD5 (params: threads, meb, "
                 "round_stages)",
     params={"threads": 4, "meb": "reduced", "round_stages": 1},

@@ -9,8 +9,8 @@ Two campaign families built on the structural coverage maps of
     push a *burst* of items before the design runs a *gap*-cycle
     window.  The corpus starts from the grid analogue (the ``active``
     stimulus shapes a classic campaign would enumerate), every pattern
-    is evaluated inside :meth:`~repro.kernel.simulator.Simulator.fork`
-    of one warm design, and a mutant joins the corpus iff it reaches a
+    runs from one branch snapshot of the warm design, restored after
+    each pattern, and a mutant joins the corpus iff it reaches a
     joint structural signature no earlier pattern reached.  Everything
     is driven by ``random.Random(scenario.seed)``, and the scenario
     seed is itself derived from the campaign seed + canonical scenario
@@ -174,17 +174,19 @@ def mutate_pattern(
 
 
 def _evaluate_pattern(
-    handle: DesignHandle, pattern: Pattern, max_cycles: int
+    handle: DesignHandle, pattern: Pattern, max_cycles: int, branch
 ) -> int:
-    """Run one pattern in a fork of the warm design; return cycles spent.
+    """Run one pattern from the *branch* snapshot; return cycles spent.
 
-    The fork rewinds all columnar state on exit, so every pattern sees
-    the identical pristine design; the attached :class:`CoverageMap`
-    deliberately survives the rewind and keeps accumulating.
+    The design is restored to *branch* on exit, so every pattern sees
+    the identical pristine design (one snapshot serves every pattern,
+    where a ``sim.fork()`` would take one each); the attached
+    :class:`CoverageMap` deliberately survives the rewind and keeps
+    accumulating.
     """
     sim = handle.sim
     gates = handle.stall_gates
-    with sim.fork():
+    try:
         start = sim.cycle
         base = handle.sink.count
         pushed = 0
@@ -205,9 +207,11 @@ def _evaluate_pattern(
                 max_cycles=max_cycles,
             )
         # Two settled cycles so the post-drain quiescent signature is
-        # observed before the fork rewinds.
+        # observed before the rewind.
         sim.run(cycles=2)
         return sim.cycle - start
+    finally:
+        sim.restore(branch)
 
 
 def _build_fuzz(params: Mapping[str, Any], engine: str | None) -> DesignHandle:
@@ -263,11 +267,12 @@ def _run_fuzz(handle: DesignHandle, scenario: ScenarioSpec) -> dict:
 
     rng = random.Random(scenario.seed)
     cov = CoverageMap(handle.sim).attach()
+    branch = handle.sim.snapshot()
     cycles = 0
     try:
         corpus: list[Pattern] = seed_corpus(handle.threads, burst, gap)
         for pattern in corpus:
-            cycles += _evaluate_pattern(handle, pattern, max_cycles)
+            cycles += _evaluate_pattern(handle, pattern, max_cycles, branch)
         baseline_pct = cov.coverage_pct
         baseline_states = cov.new_states
 
@@ -282,7 +287,7 @@ def _run_fuzz(handle: DesignHandle, scenario: ScenarioSpec) -> dict:
                 parent, rng, handle.threads, max_burst, max_waves
             )
             before = cov.new_states
-            cycles += _evaluate_pattern(handle, mutant, max_cycles)
+            cycles += _evaluate_pattern(handle, mutant, max_cycles, branch)
             gained = cov.new_states - before
             ledger.append((mutant, gained))
             if gained:

@@ -20,19 +20,22 @@ The moving parts of a :class:`JobService`:
   per worker.  With ``workers=N >= 2`` the workers are N processes;
   ``workers<=1`` gives one thread worker (inline execution, no
   subprocesses).  Both kinds run the same unit-execution function
-  against a worker-lifetime design cache.  Units go out by ownership
-  claim: an idle worker takes a unit of a design it owns, else one of
-  an unowned design that :func:`design_affinity` assigns to it, else
-  one of any unowned design — and taking an unowned design claims it
-  for as long as the pool lives.  No worker takes a design another
-  live worker owns, so every scenario of one design — across *all*
-  jobs, not just within one campaign — lands on the worker that
-  already holds that design compiled, and rewinds it via the kernel's
-  columnar snapshot/restore instead of rebuilding; and no worker sits
-  idle while unclaimed work is pending.  A worker process that dies
-  fails only the unit it was running (``status="worker-failed"``);
-  the pool respawns the worker (cold cache, its ownerships dropped)
-  and the job continues.
+  against a worker-lifetime design cache.  The pool records which
+  workers hold each design, and an idle worker takes, by four routes
+  in order (see :class:`_Backlog`): a unit of a design it holds
+  (``owner``); of an unheld design that :func:`design_affinity`
+  assigns to it (``preferred``); of any unheld design (``claimed``);
+  else of a design whose holders are all busy (``stolen``).  Taking a
+  design makes the worker one of its holders for as long as the pool
+  lives, so a stolen design becomes a *replica*: later scenarios of it
+  — across *all* jobs — rewind a compiled copy via the kernel's
+  columnar snapshot/restore on either holder instead of rebuilding.
+  No worker sits idle while another has work pending, and no worker
+  takes a design from a holder that is idle.  Within each route the
+  design with the most estimated pending work goes first.  A worker
+  process that dies fails only the unit it was running
+  (``status="worker-failed"``); the pool respawns the worker (cold
+  cache, removed from every holder set) and the job continues.
 
 * **A persisted result store with dedup.**  With a
   :class:`repro.sweep.store.ResultStore`, each scenario's canonical
@@ -65,6 +68,12 @@ The service is also **fault-tolerant** (the resilience layer):
 * **Admission control** — ``max_queued_jobs`` / ``max_scenarios_per_job``
   reject over-limit submissions with a structured :class:`QuotaError`
   (HTTP 429), and :meth:`~JobService.stats` reports saturation.
+* **Bounded history** — the service keeps at most
+  :data:`MAX_FINISHED_JOBS` terminal jobs and evicts the oldest
+  finished one first; queued and running jobs are never evicted.  An
+  evicted id raises :class:`JobEvicted` (HTTP 404 naming the
+  eviction), and :meth:`~JobService.stats` reports the limit and the
+  eviction count.
 * **Graceful drain** — :meth:`~JobService.shutdown` stops admission,
   settles in-flight jobs, flushes the store and lets every open event
   stream deliver its terminal line before closing.
@@ -77,6 +86,7 @@ import itertools
 import multiprocessing
 import pathlib
 import queue
+import statistics
 import threading
 import time
 import traceback
@@ -122,6 +132,10 @@ _TIMEOUT_FLOOR_S = 30.0
 #: First-retry backoff in seconds; doubles per subsequent attempt.
 _RETRY_BACKOFF_S = 0.05
 
+#: Terminal jobs the service keeps for status/report/trace/events
+#: lookups; the oldest finished job is evicted beyond this.
+MAX_FINISHED_JOBS = 256
+
 
 class QuotaError(RuntimeError):
     """A submission was rejected by admission control (HTTP 429).
@@ -158,12 +172,30 @@ class QuotaError(RuntimeError):
         }
 
 
+class JobEvicted(KeyError):
+    """A job id the service issued but has since evicted from history.
+
+    A :class:`KeyError` (an unknown id to every caller that only
+    distinguishes known from unknown) whose *reason* names the
+    eviction, so the HTTP layer can answer a structured 404 that says
+    why the job is gone.
+    """
+
+    def __init__(self, job_id: str, limit: int):
+        self.job_id = job_id
+        self.reason = (
+            f"job {job_id!r} finished and was evicted from the service's "
+            f"job history (it keeps the last {limit} finished jobs)"
+        )
+        super().__init__(self.reason)
+
+
 def design_affinity(design_key: str, workers: int) -> int:
     """Stable preferred worker index for a design key.
 
-    A pure function of the key (not of the campaign): an unowned design
+    A pure function of the key (not of the campaign): an unheld design
     goes to this worker when it is idle, so independent services spread
-    the same designs the same way.  Ownership claims (:class:`_Backlog`)
+    the same designs the same way.  Claims and steals (:class:`_Backlog`)
     decide where a design actually lives.
     """
     digest = hashlib.sha256(design_key.encode()).digest()
@@ -188,7 +220,7 @@ def _run_unit(index: int, msg, cache: dict, mode: str) -> tuple:
     *msg* is ``(job_id, unit, engine, opts)``: ``opts["profile"]``
     attaches the kernel profiler per scenario, ``opts["parent"]`` is
     the job span id and ``opts["route"]`` the dispatch rule that chose
-    this worker (``owner``, ``preferred`` or ``claimed``; see
+    this worker (``owner``, ``preferred``, ``claimed`` or ``stolen``; see
     :class:`_Backlog`).  A worker-side :class:`~repro.obs.trace.Tracer`
     records unit -> scenario -> build/simulate/metrics spans tagged
     with this worker's index; they ship back in the result tuple for
@@ -306,14 +338,17 @@ class _WorkerPool:
     """Workers sharing one result queue.
 
     ``processes >= 2`` gives that many process workers; 0 gives one
-    thread worker (inline execution, no subprocesses).  ``owner`` maps
-    each claimed design key to the worker whose cache holds it; it
-    lives as long as the pool, so ownership carries across jobs.
+    thread worker (inline execution, no subprocesses).  ``holders``
+    maps each taken design key to the frozenset of workers whose caches
+    hold it (more than one once the design has been stolen); it lives
+    as long as the pool, so holding carries across jobs.  Entries are
+    replaced, never mutated, so a concurrent :meth:`owned_counts` reads
+    a consistent set.
     """
 
     def __init__(self, processes: int):
         self.processes = processes
-        self.owner: dict[str, int] = {}
+        self.holders: dict[str, frozenset[int]] = {}
         if processes:
             ctx = multiprocessing.get_context()
             self.results = ctx.Queue()
@@ -331,22 +366,24 @@ class _WorkerPool:
     def respawn(self, index: int) -> None:
         """Kill a dead or hung worker and replace it with a cold one.
 
-        The replacement holds no designs, so the dead worker's
-        ownerships are dropped and its designs become claimable.
+        The replacement holds no designs, so the dead worker leaves
+        every holder set; a design it held alone becomes claimable.
         """
         self.workers[index].kill()
         self.workers[index] = self._spawn(index)
-        self.owner = {
-            key: worker for key, worker in self.owner.items()
-            if worker != index
+        gone = frozenset((index,))
+        self.holders = {
+            key: held - gone for key, held in self.holders.items()
+            if held - gone
         }
         self.respawns += 1
 
     def owned_counts(self) -> list[int]:
-        """Number of designs each worker owns, by worker index."""
+        """Designs each worker holds, replicas included, by worker index."""
         counts = [0] * self.size
-        for worker in list(self.owner.values()):
-            counts[worker] += 1
+        for held in list(self.holders.values()):
+            for worker in held:
+                counts[worker] += 1
         return counts
 
     def close(self) -> None:
@@ -360,36 +397,63 @@ class _WorkerPool:
 
 
 class _Backlog:
-    """One job's pending units, handed out by ownership claim.
+    """One job's pending units, handed out by claim and by stealing.
 
     Units are filed by design key.  An idle worker takes, in order:
 
-    1. ``"owner"`` — a unit of a design it owns;
-    2. ``"preferred"`` — a unit of an unowned design whose
+    1. ``"owner"`` — a unit of a design it holds;
+    2. ``"preferred"`` — a unit of an unheld design whose
        :func:`design_affinity` is this worker;
-    3. ``"claimed"`` — a unit of any unowned design.
+    3. ``"claimed"`` — a unit of any unheld design;
+    4. ``"stolen"`` — a unit of a design whose holders are all *busy*.
 
-    Ownership is the pool's ``owner`` map alone: taking an unowned
-    design claims it there, and a respawn drops it there.  A worker
-    never takes a design owned by another live worker, so each design
-    is built once and stays on one worker across jobs, while an idle
-    worker still takes any unclaimed design instead of waiting on a
-    static route.  A worker that failed a unit never reclaims its
-    design within the job (unless the pool has one worker), so a retry
-    runs elsewhere.  Retries wait out their backoff in ``delayed``.
+    Holding is the pool's ``holders`` map alone: taking a design adds
+    the worker to its holder set — claiming an unheld design, or
+    building a *replica* of a stolen one that later jobs restore
+    instead of rebuilding — and a respawn removes the worker from every
+    set.  A worker never takes a design a holder could take in the same
+    dispatch round: the caller passes the busy workers, and an idle
+    holder serves its own designs first.  So each design is built once
+    per holder, an idle worker takes unclaimed work before stealing,
+    and no worker idles while another has work pending.
+
+    Within every route, designs go out longest first by estimated
+    pending work: *cost(family)* (a per-unit estimate; the service
+    passes the family median of recent durations) × pending units.  A
+    family without an estimate weighs as the slowest known one, so all
+    weigh alike while the service is cold.  A worker that failed a unit
+    never claims or steals its design within the job (unless the pool
+    has one worker), so a retry runs elsewhere.  Retries wait out their
+    backoff in ``delayed``.
     """
 
-    def __init__(self, pool: _WorkerPool, units):
+    def __init__(self, pool: _WorkerPool, units, cost=None):
         self.pool = pool
         self.designs: dict[str, deque] = {}
+        self.family: dict[str, str] = {}  # design key -> family
         self.failed_on: dict[str, int] = {}
         self.delayed: list[tuple] = []  # (ready time, unit, attempt)
         for unit in units:
             self._file(unit, 1)
+        estimates = {
+            family: cost(family) if cost else None
+            for family in self.family.values()
+        }
+        fallback = max(
+            (c for c in estimates.values() if c is not None), default=1.0
+        )
+        self.unit_cost = {
+            family: fallback if c is None else c
+            for family, c in estimates.items()
+        }
 
     def _file(self, unit, attempt: int) -> None:
         key = unit[0].design_key()
+        self.family[key] = unit[0].family
         self.designs.setdefault(key, deque()).append((unit, attempt))
+
+    def _pending_work(self, key: str) -> float:
+        return len(self.designs[key]) * self.unit_cost[self.family[key]]
 
     def retry(self, unit, attempt: int, ready: float, worker: int) -> None:
         """Re-enqueue *unit* after *worker* failed it; due at *ready*."""
@@ -397,29 +461,41 @@ class _Backlog:
             self.failed_on[unit[0].design_key()] = worker
         self.delayed.append((ready, unit, attempt))
 
-    def take(self, worker: int, now: float):
-        """The next ``(unit, attempt, route)`` for idle *worker*, or None."""
+    def take(self, worker: int, now: float, busy=()):
+        """The next ``(unit, attempt, route)`` for idle *worker*, or None.
+
+        *busy* holds the workers with a unit in flight.
+        """
         if self.delayed:
             due = [d for d in self.delayed if d[0] <= now]
             self.delayed = [d for d in self.delayed if d[0] > now]
             for _ready, unit, attempt in due:
                 self._file(unit, attempt)
-        owner, size = self.pool.owner, self.pool.size
-        free = [
-            k for k in self.designs
-            if k not in owner and self.failed_on.get(k) != worker
-        ]
+        holders = self.pool.holders
+        mine, free, stealable = [], [], []
+        for key in self.designs:
+            held = holders.get(key)
+            if held and worker in held:
+                mine.append(key)
+            elif self.failed_on.get(key) == worker:
+                continue
+            elif not held:
+                free.append(key)
+            elif all(h in busy for h in held):
+                stealable.append(key)
+        size = self.pool.size
         rules = (
-            ("owner", (k for k in self.designs if owner.get(k) == worker)),
+            ("owner", mine),
             ("preferred",
-             (k for k in free if design_affinity(k, size) == worker)),
-            ("claimed", iter(free)),
+             [k for k in free if design_affinity(k, size) == worker]),
+            ("claimed", free),
+            ("stolen", stealable),
         )
         for route, keys in rules:
-            key = next(keys, None)
-            if key is None:
+            if not keys:
                 continue
-            owner[key] = worker
+            key = max(keys, key=self._pending_work)
+            holders[key] = holders.get(key, frozenset()) | {worker}
             pending = self.designs[key]
             unit, attempt = pending.popleft()
             if not pending:
@@ -608,8 +684,13 @@ class JobService:
         )
         self.max_queued_jobs = max_queued_jobs
         self.max_scenarios_per_job = max_scenarios_per_job
+        # Every retained job by id, in submission order; terminal ids in
+        # finish order (the eviction queue, see MAX_FINISHED_JOBS).
         self._jobs: dict[str, Job] = {}
-        self._order: list[str] = []
+        self._finished: deque[str] = deque()
+        self._evicted = 0
+        self._queued = 0
+        self._issued = 0
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -681,6 +762,11 @@ class JobService:
         )
         self._m_workers_alive = m.gauge(
             "repro_pool_workers_alive", "Worker processes currently alive."
+        )
+        self._m_stolen = m.counter(
+            "repro_units_stolen_total",
+            "Units a worker took by stealing a design whose holders were "
+            "all busy (each builds a design replica).",
         )
         self._m_respawns = m.counter(
             "repro_worker_respawns_total",
@@ -754,7 +840,7 @@ class JobService:
             if self._closed:
                 return None
             self._draining = True
-            jobs = [self._jobs[job_id] for job_id in self._order]
+            jobs = list(self._jobs.values())
         if drain:
             deadline = None if timeout is None else start + timeout
             for job in jobs:
@@ -848,9 +934,7 @@ class JobService:
                              minimum=0)
         with self._lock:
             draining = self._draining
-            queued = sum(
-                1 for job in self._jobs.values() if job.state == "queued"
-            )
+            queued = self._queued
         if draining:
             self._reject(
                 "draining",
@@ -895,24 +979,42 @@ class JobService:
             retries = (
                 spec.retries if spec.retries is not None else self.retries
             )
-        job_id = f"job-{next(self._ids):06d}"
-        job = Job(
-            job_id, spec, engine, workers, profile=profile,
-            timeout_s=timeout_s, retries=retries,
-        )
         with self._lock:
+            self._issued = next(self._ids)
+            job_id = f"job-{self._issued:06d}"
+            job = Job(
+                job_id, spec, engine, workers, profile=profile,
+                timeout_s=timeout_s, retries=retries,
+            )
             self._jobs[job_id] = job
-            self._order.append(job_id)
+            self._queued += 1
             self._ensure_dispatcher()
         self._m_submitted.inc()
         self._queue.put(job_id)
         return job_id
 
     def job(self, job_id: str) -> Job:
-        try:
-            return self._jobs[job_id]
-        except KeyError:
-            raise KeyError(f"unknown job id {job_id!r}") from None
+        """The retained job *job_id*; :class:`JobEvicted` if it aged out."""
+        job = self._jobs.get(job_id)
+        if job is not None:
+            return job
+        prefix, _, number = job_id.partition("-")
+        if (
+            prefix == "job" and number.isascii() and number.isdigit()
+            and 0 < int(number) <= self._issued
+        ):
+            raise JobEvicted(job_id, MAX_FINISHED_JOBS)
+        raise KeyError(f"unknown job id {job_id!r}")
+
+    def _retire(self, job: Job) -> None:
+        """Mark *job* terminal, first evicting the oldest finished jobs
+        beyond :data:`MAX_FINISHED_JOBS`."""
+        with self._lock:
+            self._finished.append(job.id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
+                self._evicted += 1
+        job.done_event.set()
 
     def status(self, job_id: str) -> dict[str, Any]:
         """JSON-safe snapshot of one job's progress."""
@@ -951,10 +1053,10 @@ class JobService:
         return True
 
     def list_jobs(self) -> list[dict[str, Any]]:
-        """Status snapshots for every job, in submission order."""
+        """Status snapshots for every retained job, in submission order."""
         with self._lock:
-            order = list(self._order)
-        return [self._jobs[job_id].status() for job_id in order]
+            jobs = list(self._jobs.values())
+        return [job.status() for job in jobs]
 
     def stats(self) -> dict[str, Any]:
         """Service health: queue depth, worker liveness, cache rates."""
@@ -962,10 +1064,10 @@ class JobService:
             states: dict[str, int] = {}
             for job in self._jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
+            queued = self._queued
         live = self._pool
         pool = live if self.pool_size else None  # processes only
         lookups = self.dedup_hits + self.dedup_misses
-        queued = states.get("queued", 0)
         return {
             "uptime_s": round(time.time() - self._started_at, 3),
             "queue_depth": queued,
@@ -989,7 +1091,13 @@ class JobService:
                 "alive": pool.alive() if pool is not None else [],
                 "respawns": pool.respawns if pool is not None else 0,
             },
-            # Design ownership per worker index (both worker kinds).
+            # Finished-job retention: the limit and how many aged out.
+            "history": {
+                "max_finished_jobs": MAX_FINISHED_JOBS,
+                "evicted": self._evicted,
+            },
+            # Designs held per worker index, replicas included (both
+            # worker kinds).
             "pool": {
                 "owned_designs": (
                     live.owned_counts() if live is not None else []
@@ -1021,11 +1129,7 @@ class JobService:
         events happen.  Content type:
         :data:`MetricsRegistry.CONTENT_TYPE`.
         """
-        with self._lock:
-            depth = sum(
-                1 for job in self._jobs.values() if job.state == "queued"
-            )
-        self._m_queue_depth.set(depth)
+        self._m_queue_depth.set(self._queued)
         pool = self._pool if self.pool_size else None  # processes only
         self._m_workers_alive.set(
             sum(pool.alive()) if pool is not None else 0
@@ -1124,7 +1228,9 @@ class JobService:
             job_id = self._queue.get()
             if job_id is None:
                 return
-            job = self._jobs[job_id]
+            with self._lock:
+                job = self._jobs[job_id]
+                self._queued -= 1
             try:
                 self._run_job(job)
             except Exception:  # pragma: no cover - defensive
@@ -1141,7 +1247,7 @@ class JobService:
                 job.publish(
                     {"event": "job", "state": "failed", "error": job.error}
                 )
-                job.done_event.set()
+                self._retire(job)
 
     def _cancelled_row(self, scenario) -> dict[str, Any]:
         row = _scenario_row(scenario, None)
@@ -1219,7 +1325,7 @@ class JobService:
                 "elapsed_s": round(elapsed, 4),
             }
         )
-        job.done_event.set()
+        self._retire(job)
 
     # -- deadlines and retries ------------------------------------------
 
@@ -1237,6 +1343,15 @@ class JobService:
         ordered = sorted(samples)
         p95 = ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
         return max(_TIMEOUT_FLOOR_S, _TIMEOUT_P95_MULTIPLE * p95)
+
+    def _unit_cost(self, family: str) -> float | None:
+        """Per-unit work estimate: the family's median recent duration.
+
+        None until the family has a fresh ok sample; :class:`_Backlog`
+        weighs such families as the slowest known one.
+        """
+        samples = self._durations.get(family)
+        return statistics.median(samples) if samples else None
 
     def _resolve_timeout_s(self, job: Job, scenario) -> float | None:
         """One scenario's deadline: submit > scenario > spec > derived
@@ -1337,17 +1452,20 @@ class JobService:
     # -- execution ------------------------------------------------------
 
     def _run_units(self, job: Job, pending, rows) -> None:
-        """Claim-dispatched execution of *pending* across the worker pool.
+        """Claim- and steal-dispatched execution of *pending* on the pool.
 
         Units (not single scenarios) are the message granularity: every
         scenario in a unit shares one design key, so the whole batch
-        runs on the worker that owns that design, one unit in flight per
-        worker; idle workers take units by the claim rule of
-        :class:`_Backlog`.  The dispatcher is also the watchdog: each
-        poll-timeout tick it checks every in-flight unit's worker for
-        death and its deadline for expiry; either verdict fails (or
-        retries) the whole unit and respawns the worker (kill + cold
-        replacement, ownerships dropped).  A retried unit waits out its
+        runs on one worker holding that design, one unit in flight per
+        worker; idle workers take units by the four routes of
+        :class:`_Backlog`.  Each dispatch round offers every idle worker
+        a unit twice: the first sweep serves holders their own designs,
+        so the second only steals from workers that are busy.  The
+        dispatcher is also the watchdog: each poll-timeout tick it
+        checks every in-flight unit's worker for death and its deadline
+        for expiry; either verdict fails (or retries) the whole unit and
+        respawns the worker (kill + cold replacement, removed from every
+        holder set).  A retried unit waits out its
         backoff while siblings run, then goes to any worker but the one
         that failed it.  Cancellation stops dispatch: in-flight units
         finish (an ensemble's lanes are one simulation), queued ones
@@ -1356,7 +1474,9 @@ class JobService:
         if not pending:
             return
         pool = self._ensure_pool()
-        backlog = _Backlog(pool, plan_units(pending, self.ensemble))
+        backlog = _Backlog(
+            pool, plan_units(pending, self.ensemble), cost=self._unit_cost
+        )
         # widx -> (unit, attempt, absolute deadline | None, timeout_s)
         inflight: dict[int, tuple] = {}
         remaining = len(pending)
@@ -1379,11 +1499,15 @@ class JobService:
                 if not inflight:
                     break
             now = time.time()
-            for i in range(pool.size):
-                taken = None if i in inflight else backlog.take(i, now)
+            for i in itertools.chain(range(pool.size), range(pool.size)):
+                taken = (
+                    None if i in inflight else backlog.take(i, now, inflight)
+                )
                 if taken is None:
                     continue
                 unit, attempt, route = taken
+                if route == "stolen":
+                    self._m_stolen.inc()
                 pool.workers[i].tasks.put(
                     (job.id, unit, job.engine, {**opts, "route": route})
                 )

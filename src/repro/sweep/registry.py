@@ -18,10 +18,11 @@ callables:
 ``reusable=True`` families keep no driver state outside the simulator,
 so the campaign runner builds them once per worker and rewinds between
 scenarios with the kernel's columnar snapshot/restore instead of a full
-recompile.  Families holding state outside the snapshot (MD5's
-software hasher, the fault components' trigger counters) set
-``reusable=False`` and are rebuilt per scenario; the processor keeps
-all its driver state in components, so it is reusable.
+recompile.  Families holding state outside the snapshot (the fault
+components' trigger counters) set ``reusable=False`` and are rebuilt
+per scenario.  The processor keeps all its driver state in components,
+and MD5 registers its round and wave counters as snapshot hooks, so
+both are reusable.
 
 Built-in families live in :mod:`repro.sweep.families` and
 :mod:`repro.sweep.fuzz` and register themselves on import; external

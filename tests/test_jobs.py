@@ -7,7 +7,8 @@ The service-level acceptance properties live here:
   per-scenario metrics;
 * design caches survive across jobs (the cross-job extension of the
   per-campaign reuse the runner always had), under both worker kinds
-  (thread and process);
+  (thread and process), and no worker builds one design twice even
+  when idle workers steal designs from busy ones;
 * a worker process that dies fails only its in-flight scenario — the
   pool respawns the worker and the job (and later jobs) complete.
 """
@@ -18,10 +19,18 @@ import multiprocessing
 import os
 import threading
 import types
+from collections import Counter
 
 import pytest
 
-from repro.sweep.jobs import JobService, _Backlog, _WorkerPool, design_affinity
+from repro.sweep import jobs as jobs_mod
+from repro.sweep.jobs import (
+    JobEvicted,
+    JobService,
+    _Backlog,
+    _WorkerPool,
+    design_affinity,
+)
 from repro.sweep.registry import _REGISTRY, Family, register_family
 from repro.sweep.report import canonical_report
 from repro.sweep.runner import run_campaign
@@ -52,6 +61,16 @@ def _metrics_by_key(report):
         for row in report["scenarios"]
         if row["status"] == "ok"
     }
+
+
+def _builds(*reports) -> Counter:
+    """Design builds per (worker, design) over *reports* (no ensembles)."""
+    return Counter(
+        (row["shard"], f"{row['family']}({row['params']})")
+        for report in reports
+        for row in report["scenarios"]
+        if row["design_cache"] == "build"
+    )
 
 
 @pytest.fixture
@@ -288,15 +307,10 @@ class TestDesignCacheAffinity:
             first = service.result(service.submit(SMALL_CAMPAIGN))
             second = service.result(service.submit(SMALL_CAMPAIGN))
         assert {r["design_cache"] for r in first["scenarios"]} == {"build"}
-        assert {r["design_cache"] for r in second["scenarios"]} == {"hit"}
-        # Affinity: each design key maps to exactly one worker, and the
-        # assignment repeats across jobs.
-        for report in (first, second):
-            by_design: dict[str, set] = {}
-            for row in report["scenarios"]:
-                design = f"{row['family']}({row['params']})"
-                by_design.setdefault(design, set()).add(row["shard"])
-            assert all(len(shards) == 1 for shards in by_design.values())
+        # The second job rewinds cached designs; a worker may steal a
+        # design from a busy holder (building its own replica), but no
+        # worker ever builds one design twice.
+        assert set(_builds(first, second).values()) == {1}
         assert _metrics_by_key(first) == _metrics_by_key(second)
 
     @pytest.mark.skipif(
@@ -325,19 +339,13 @@ class TestDesignCacheAffinity:
             first, second = (service.result(job) for job in jobs)
             traces = [service.trace(job) for job in jobs]
             owned = service.stats()["pool"]["owned_designs"]
-        placements = []
-        for report in (first, second):
-            by_design: dict[str, set] = {}
-            for row in report["scenarios"]:
-                design = f"{row['family']}({row['params']})"
-                by_design.setdefault(design, set()).add(row["shard"])
-            assert all(len(shards) == 1 for shards in by_design.values())
-            placements.append(by_design)
+        # Both workers ran, no worker built a design twice, and the
+        # holder counts are exactly the builds (replicas included).
+        builds = _builds(first, second)
         assert {r["shard"] for r in first["scenarios"]} == {0, 1}
-        assert placements[0] == placements[1]
-        assert {r["design_cache"] for r in second["scenarios"]} == {"hit"}
+        assert set(builds.values()) == {1}
+        assert sum(owned) == len(builds)
         assert _metrics_by_key(first) == _metrics_by_key(second)
-        assert sorted(owned) == [1, 2]
         routes = [
             {(s["attrs"]["worker"], s["attrs"]["route"])
              for s in spans if s["name"] == "unit"}
@@ -345,7 +353,57 @@ class TestDesignCacheAffinity:
         ]
         assert (0, "preferred") in routes[0] and (1, "claimed") in routes[0]
         assert (1, "preferred") not in routes[0]
-        assert {route for _worker, route in routes[1]} == {"owner"}
+        # Every design is held after the first job: nothing is claimed.
+        assert {route for _worker, route in routes[1]} <= {"owner", "stolen"}
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool tests rely on fork inheritance",
+    )
+    def test_idle_worker_steals_from_a_busy_holder(self):
+        # Warm-up jobs of one scenario each all land on worker 0 (the
+        # first idle worker), so it holds every design; without
+        # stealing, worker 1 would idle through the whole campaign.
+        def block(n_stages, items):
+            return {
+                "family": "mt_pipeline",
+                "params": {"threads": 2, "n_stages": n_stages},
+                "stimulus": {"kind": "uniform", "items_per_thread": items},
+            }
+
+        campaign = {"name": "steal", "seed": 5}
+        spec = {
+            "campaign": campaign,
+            "scenarios": [
+                block(n, items) for n in (2, 3, 4) for items in (4, 6, 8)
+            ],
+        }
+        with JobService(workers=2) as service:
+            warm = [
+                service.result(service.submit(
+                    {"campaign": campaign, "scenarios": [block(n, 4)]}
+                ))
+                for n in (2, 3, 4)
+            ]
+            assert service.stats()["pool"]["owned_designs"] == [3, 0]
+            job = service.submit(spec)
+            report = service.result(job)
+            routes = {
+                (s["attrs"]["worker"], s["attrs"]["route"])
+                for s in service.trace(job) if s["name"] == "unit"
+            }
+            owned = service.stats()["pool"]["owned_designs"]
+            stolen = service.metrics.render()
+        assert {r["shard"] for r in report["scenarios"]} == {0, 1}
+        assert (1, "stolen") in routes
+        assert {route for _worker, route in routes} <= {"owner", "stolen"}
+        builds = _builds(*warm, report)
+        assert set(builds.values()) == {1}
+        assert owned[0] == 3 and sum(owned) == len(builds)
+        steals = sum(1 for (worker, _d) in builds if worker == 1)
+        assert f"repro_units_stolen_total {steals}" in stolen.splitlines()
+        inline = run_campaign(from_dict(spec), workers=1)
+        assert canonical_report(report) == canonical_report(inline)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -354,11 +412,15 @@ class TestDesignCacheAffinity:
     def test_respawn_drops_the_workers_ownerships(self):
         pool = _WorkerPool(2)
         try:
-            pool.owner.update({"a": 0, "b": 1, "c": 0})
-            assert pool.owned_counts() == [2, 1]
+            pool.holders.update({
+                "a": frozenset({0}), "b": frozenset({1}),
+                "c": frozenset({0, 1}),
+            })
+            assert pool.owned_counts() == [2, 2]
             pool.respawn(0)
-            assert pool.owner == {"b": 1}
-            assert pool.owned_counts() == [0, 1]
+            # Worker 0 leaves every holder set; "a" had no replica.
+            assert pool.holders == {"b": {1}, "c": {1}}
+            assert pool.owned_counts() == [0, 2]
             assert all(pool.alive())
         finally:
             pool.close()
@@ -375,27 +437,42 @@ class TestDesignCacheAffinity:
 
 
 def _units(*keys):
-    """One single-scenario unit per design key (a stand-in scenario)."""
+    """One single-scenario unit per design key (a stand-in scenario).
+
+    Each stand-in design is its own family, so a cost table keyed by
+    design key weighs designs individually.
+    """
     return [
-        [types.SimpleNamespace(key=key, design_key=lambda key=key: key)]
+        [types.SimpleNamespace(
+            key=key, family=key, design_key=lambda key=key: key,
+        )]
         for key in keys
     ]
 
 
+def _fake_pool(size=2, holders=None):
+    """A stand-in pool: *holders* maps design key -> worker or workers."""
+    return types.SimpleNamespace(size=size, holders={
+        key: frozenset(w if isinstance(w, (set, frozenset)) else {w})
+        for key, w in (holders or {}).items()
+    })
+
+
 class TestBacklogClaims:
-    """The claim rule, on a stand-in two-worker pool."""
+    """The four dispatch routes, on a stand-in two-worker pool."""
 
     # Preferred workers with 2 workers: "d2"/"d3" -> 0, "d5"/"d6" -> 1.
     KEYS = ("d5", "d2", "d3", "d6")
 
-    def _backlog(self, owner=None):
+    def _backlog(self, owner=None, cost=None):
         assert [design_affinity(k, 2) for k in self.KEYS] == [1, 0, 0, 1]
-        pool = types.SimpleNamespace(size=2, owner=dict(owner or {}))
-        return _Backlog(pool, _units(*self.KEYS, "d2")), pool
+        pool = _fake_pool(2, owner)
+        units = _units(*self.KEYS, "d2")
+        return _Backlog(pool, units, cost=cost), pool
 
     @staticmethod
-    def _take(backlog, worker, now=0.0):
-        unit, attempt, route = backlog.take(worker, now)
+    def _take(backlog, worker, now=0.0, busy=()):
+        unit, attempt, route = backlog.take(worker, now, busy)
         return unit[0].key, attempt, route
 
     def test_owner_then_preferred_then_claimed(self):
@@ -407,19 +484,87 @@ class TestBacklogClaims:
         assert self._take(backlog, 0) == ("d3", 1, "preferred")
         assert self._take(backlog, 0) == ("d5", 1, "claimed")
         assert backlog.take(0, 0.0) is None
-        assert pool.owner == {"d6": 0, "d2": 0, "d3": 0, "d5": 0}
+        assert pool.holders == {"d6": {0}, "d2": {0}, "d3": {0}, "d5": {0}}
 
     def test_designs_owned_elsewhere_are_never_taken(self):
+        # ... while their holder is idle: it serves its own designs.
         backlog, _pool = self._backlog(owner={"d5": 1, "d2": 1, "d6": 1})
         assert self._take(backlog, 0) == ("d3", 1, "preferred")
         assert backlog.take(0, 0.0) is None
         taken = [self._take(backlog, 1)[0] for _ in range(4)]
-        assert taken == ["d5", "d2", "d2", "d6"]
+        # Longest first (d2 has two pending units), ties in plan order.
+        assert taken == ["d2", "d5", "d2", "d6"]
+
+    def test_steals_only_without_owned_preferred_or_claimed_work(self):
+        backlog, pool = self._backlog(owner={"d5": 1, "d2": 1})
+        busy = {1}
+        assert self._take(backlog, 0, busy=busy) == ("d3", 1, "preferred")
+        assert self._take(backlog, 0, busy=busy) == ("d6", 1, "claimed")
+        assert self._take(backlog, 0, busy=busy) == ("d2", 1, "stolen")
+        # The thief joined d2's holders: its next unit is its own.
+        assert pool.holders["d2"] == {0, 1}
+        assert self._take(backlog, 0, busy=busy) == ("d2", 1, "owner")
+        assert self._take(backlog, 0, busy=busy) == ("d5", 1, "stolen")
+        assert backlog.take(0, 0.0, busy) is None
+        assert pool.holders == {"d5": {0, 1}, "d2": {0, 1}, "d3": {0},
+                                "d6": {0}}
+
+    def test_steal_takes_the_most_estimated_pending_work(self):
+        held = {key: 1 for key in self.KEYS}
+        # Per-unit costs: d2 has two units (2 x 1.0 = 2.0), d6 one of 3.0.
+        costs = {"d5": 0.5, "d2": 1.0, "d3": 0.25, "d6": 3.0}
+        backlog, _pool = self._backlog(owner=held, cost=costs.get)
+        steals = [self._take(backlog, 0, busy={1}) for _ in range(2)]
+        assert steals == [("d6", 1, "stolen"), ("d2", 1, "stolen")]
+
+    def test_never_steals_from_an_idle_holder(self):
+        pool = _fake_pool(3, {"d1": {1, 2}})
+        backlog = _Backlog(pool, _units("d1", "d1"))
+        assert backlog.take(0, 0.0) is None
+        assert backlog.take(0, 0.0, {1}) is None  # holder 2 is idle
+        unit, _attempt, route = backlog.take(0, 0.0, {1, 2})
+        assert (unit[0].key, route) == ("d1", "stolen")
+        assert pool.holders["d1"] == {0, 1, 2}
+
+    def test_steal_honours_failed_on(self):
+        backlog, pool = self._backlog(owner={key: 1 for key in self.KEYS})
+        unit, _attempt, route = backlog.take(1, 0.0)  # d2, longest
+        assert (unit[0].key, route) == ("d2", "owner")
+        backlog.retry(unit, 2, ready=0.0, worker=0)
+        steals = [self._take(backlog, 0, busy={1})[0] for _ in range(3)]
+        assert sorted(steals) == ["d3", "d5", "d6"]
+        # Both d2 units (sibling and retry) are left to worker 1.
+        assert backlog.take(0, 0.0, {1}) is None
+        assert [self._take(backlog, 1)[:2] for _ in range(2)] == [
+            ("d2", 1), ("d2", 2),
+        ]
+
+    def test_designs_go_out_longest_first_within_each_route(self):
+        costs = {"d5": 1.0, "d2": 0.5, "d3": 4.0, "d6": 2.0}
+        backlog, _pool = self._backlog(cost=costs.get)
+        # Preferred for worker 0: d3 (4.0) before d2 (2 x 0.5); for
+        # worker 1: d6 (2.0) before d5 (1.0).
+        assert self._take(backlog, 0)[::2] == ("d3", "preferred")
+        assert self._take(backlog, 1)[::2] == ("d6", "preferred")
+        assert self._take(backlog, 1)[::2] == ("d5", "preferred")
+        assert self._take(backlog, 1)[::2] == ("d2", "claimed")
+
+    def test_cold_families_weigh_alike_then_as_the_slowest_known(self):
+        # Cold: equal weights, so pending units decide (d2 has two).
+        backlog, _pool = self._backlog()
+        assert backlog.unit_cost == dict.fromkeys(self.KEYS, 1.0)
+        assert self._take(backlog, 0)[::2] == ("d2", "preferred")
+        # d3 has no estimate: it weighs as the slowest known (d6, 2.0),
+        # so it goes before d2 (2 x 0.5).
+        costs = {"d5": 1.0, "d2": 0.5, "d6": 2.0}
+        backlog, _pool = self._backlog(cost=costs.get)
+        assert backlog.unit_cost["d3"] == 2.0
+        assert self._take(backlog, 0)[::2] == ("d3", "preferred")
 
     def test_retry_waits_out_backoff_and_avoids_failing_worker(self):
         backlog, pool = self._backlog()
         unit, _attempt, _route = backlog.take(0, 0.0)  # claims d2
-        pool.owner = {}  # worker 0 respawned
+        pool.holders = {}  # worker 0 respawned
         backlog.retry(unit, 2, ready=5.0, worker=0)
         taken = [self._take(backlog, 0)[0] for _ in range(3)]
         assert taken == ["d3", "d5", "d6"]
@@ -431,10 +576,10 @@ class TestBacklogClaims:
         assert self._take(backlog, 1, now=9.0) == ("d2", 2, "owner")
 
     def test_single_worker_retries_on_itself(self):
-        pool = types.SimpleNamespace(size=1, owner={})
+        pool = _fake_pool(1)
         backlog = _Backlog(pool, _units("d1"))
         unit, _attempt, _route = backlog.take(0, 0.0)
-        pool.owner = {}
+        pool.holders = {}
         backlog.retry(unit, 2, ready=0.0, worker=0)
         assert self._take(backlog, 0) == ("d1", 2, "preferred")
 
@@ -564,6 +709,68 @@ class TestCancel:
             job_id = service.submit(SMALL_CAMPAIGN)
             service.result(job_id)
             assert not service.cancel(job_id)
+
+
+class TestJobHistory:
+    """At most MAX_FINISHED_JOBS terminal jobs are kept, oldest out first."""
+
+    def test_hits_leave_at_most_the_limit(self):
+        limit = jobs_mod.MAX_FINISHED_JOBS
+        assert limit == 256
+        with JobService(workers=0, store=True) as service:
+            service.result(service.submit(SMALL_CAMPAIGN))
+            ids = [service.submit(SMALL_CAMPAIGN) for _ in range(300)]
+            last = service.result(ids[-1])
+            stats = service.stats()
+            listed = [job["id"] for job in service.list_jobs()]
+            with pytest.raises(JobEvicted, match="evicted") as excinfo:
+                service.status(ids[0])
+            with pytest.raises(KeyError, match="unknown job id"):
+                service.status("job-999999")
+        assert last["summary"]["dedup_hits"] == 3
+        assert listed == ids[-limit:]
+        assert sum(stats["jobs"].values()) == limit
+        assert stats["history"] == {"max_finished_jobs": limit, "evicted": 45}
+        assert isinstance(excinfo.value, KeyError)
+
+    def test_queued_and_running_jobs_are_never_evicted(
+        self, temp_family, monkeypatch
+    ):
+        monkeypatch.setattr(jobs_mod, "MAX_FINISHED_JOBS", 1)
+        gate = threading.Event()
+        started = threading.Event()
+
+        def run(handle, scenario):
+            started.set()
+            assert gate.wait(10)
+            return {"cycles": 1}
+
+        temp_family(Family(
+            name="_history_blocker", build=_build_nothing, run=run,
+            reusable=False,
+        ))
+        blocker = {
+            "campaign": {"name": "slow", "seed": 1},
+            "scenarios": [{"family": "_history_blocker"}],
+        }
+        with JobService(workers=0) as service:
+            done = [service.submit(SMALL_CAMPAIGN) for _ in range(3)]
+            service.result(done[-1])
+            running = service.submit(blocker)
+            queued = service.submit(SMALL_CAMPAIGN)
+            assert started.wait(10)
+            assert [job["id"] for job in service.list_jobs()] == [
+                done[-1], running, queued,
+            ]
+            assert service.status(running)["state"] == "running"
+            assert service.status(queued)["state"] == "queued"
+            assert service.stats()["queue_depth"] == 1
+            gate.set()
+            service.result(queued)
+            assert [job["id"] for job in service.list_jobs()] == [queued]
+            assert service.stats()["history"]["evicted"] == 4
+            with pytest.raises(JobEvicted):
+                service.status(running)
 
 
 class TestRunCampaignCompat:

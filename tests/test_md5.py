@@ -302,3 +302,67 @@ class TestCompiledRoundSteps:
         out = round_logic(token, 0, store)
         assert out.state == ref.md5_round(ref.IV, block, 0)
         assert out.round_idx == 1
+
+
+#: The paper sweep's MD5 block (examples/campaigns/paper_sweep.toml).
+MD5_SWEEP = {
+    "campaign": {"name": "md5-reuse", "seed": 2014},
+    "scenarios": [{
+        "family": "md5",
+        "params": {"threads": 4},
+        "grid": {"meb": ["full", "reduced"], "round_stages": [1, 4]},
+        "stimulus": {"messages": 4, "size": 24},
+    }],
+}
+
+
+def _start_partial_wave(hasher: MD5Hasher, cycles: int) -> None:
+    """Inject one wave and run only part of it (the driver mid-flight)."""
+    circuit = hasher.circuit
+    for t in range(hasher.threads):
+        circuit.store.write(t, hasher._wave_ref, tuple(range(16)))
+        circuit.source.push(t, MD5Token(IV, 0, hasher._wave_ref))
+    hasher._wave_ref += 1
+    circuit.sim.run(cycles=cycles)
+
+
+class TestReusableHasher:
+    """One built hasher serves every scenario of its design point."""
+
+    @pytest.mark.parametrize("engine", ["compiled", "naive"])
+    def test_cached_restore_rows_equal_fresh_builds(self, engine):
+        from repro.sweep.runner import execute_scenario
+        from repro.sweep.spec import from_dict
+
+        scenarios = from_dict(MD5_SWEEP).scenarios
+        assert len(scenarios) == 4
+        fresh = [execute_scenario(s, engine)["metrics"] for s in scenarios]
+        assert all(m["digests_ok"] for m in fresh)
+        cache: dict = {}
+        for expected in ("build", "hit"):
+            rows = [execute_scenario(s, engine, cache=cache)
+                    for s in scenarios]
+            assert [r["design_cache"] for r in rows] == [expected] * 4
+            assert [r["metrics"] for r in rows] == fresh
+        # Leave every cached design mid-wave, with the driver's wave
+        # counter advanced: the restore rewinds both.
+        for scenario in scenarios:
+            hasher, _pristine = cache[(scenario.design_key(), engine)]
+            cycle, wave_ref = hasher.sim.cycle, hasher._wave_ref
+            _start_partial_wave(hasher, cycles=7)
+            assert hasher.sim.cycle == cycle + 7
+            assert hasher._wave_ref == wave_ref + 1 > 1
+        rows = [execute_scenario(s, engine, cache=cache) for s in scenarios]
+        assert [r["design_cache"] for r in rows] == ["hit"] * 4
+        assert [r["metrics"] for r in rows] == fresh
+
+    def test_wave_counter_rewinds_with_the_circuit(self):
+        hasher = MD5Hasher(threads=2)
+        snap = hasher.sim.snapshot()
+        messages = [b"abc", b"x" * 70]
+        first = hasher.hash_messages(messages)
+        assert hasher._wave_ref == 2
+        hasher.sim.restore(snap)
+        assert hasher._wave_ref == 0 and hasher.sim.cycle == 0
+        assert hasher.hash_messages(messages) == first
+        assert first == [hashlib.md5(m).hexdigest() for m in messages]

@@ -137,6 +137,34 @@ class TestRoutes:
                 call()
             assert excinfo.value.status == 404
 
+    def test_evicted_job_is_a_404_naming_the_eviction(
+        self, service_client, monkeypatch
+    ):
+        from repro.sweep import jobs as jobs_mod
+
+        monkeypatch.setattr(jobs_mod, "MAX_FINISHED_JOBS", 1)
+        client, _service = service_client
+        first = client.submit(CAMPAIGN)["id"]
+        client.report(first, wait=60)
+        second = client.submit(CAMPAIGN)["id"]
+        client.report(second, wait=60)
+        for call in (
+            lambda: client.status(first),
+            lambda: client.report(first),
+            lambda: client.trace(first),
+            lambda: list(client.events(first)),
+            lambda: client.cancel(first),
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                call()
+            assert excinfo.value.status == 404
+            error = excinfo.value.payload["error"]
+            assert error["evicted"] is True and error["job_id"] == first
+            assert "evicted" in error["reason"]
+        health = client.healthz()
+        assert health["history"] == {"max_finished_jobs": 1, "evicted": 1}
+        assert client.status(second)["state"] == "done"
+
     def test_unknown_route_is_404(self, service_client):
         client, _service = service_client
         with pytest.raises(ServiceError) as excinfo:
