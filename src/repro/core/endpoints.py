@@ -320,7 +320,6 @@ class MTSink(Component):
         self.channel = channel
         self.threads = channel.threads
         self._gates: list[Callable[[int], bool]] = []
-        self._gates_trivial = patterns is None
         for t in range(self.threads):
             if patterns is None:
                 pat: Pattern = None
@@ -353,36 +352,6 @@ class MTSink(Component):
     def combinational(self) -> None:
         for t in range(self.threads):
             self.channel.ready[t].set(self._gates[t](self._cycle))
-
-    def compile_comb(self, store):
-        """Slot-compiled stall gating: one slice write for all S readies."""
-        if type(self).combinational is not MTSink.combinational:
-            return None
-        ready_blk = store.range_of(self.channel.ready)
-        if ready_blk is None:
-            return None
-        values = store.values
-        dirty = store.dirty
-        ready_readers = store.readers_of(self.channel.ready)
-        rb, re_ = ready_blk
-        gates = self._gates
-        trues = [True] * self.threads
-        trivial = self._gates_trivial
-
-        def step() -> bool:
-            if trivial:
-                new_ready = trues
-            else:
-                cycle = self._cycle
-                new_ready = [gate(cycle) for gate in gates]
-            if values[rb:re_] != new_ready:
-                values[rb:re_] = new_ready
-                if ready_readers:
-                    dirty.update(ready_readers)
-                return True
-            return False
-
-        return step
 
     def capture(self) -> None:
         t = self.channel.transfer_thread()

@@ -20,7 +20,6 @@ from typing import Any
 from repro.elastic.channel import ElasticChannel
 from repro.kernel.component import Component
 from repro.kernel.errors import ProtocolError
-from repro.kernel.slots import SeqPlan
 from repro.kernel.values import as_bool, same_value
 
 
@@ -101,57 +100,6 @@ class ChannelMonitor(Component):
             stalled_now = False
         self._pending = (self._cycle + 1, stalled_now, data if stalled_now else None)
 
-    def compile_seq(self, seq):
-        """Delta-gated tick plan with bulk replay of idle/stall stretches.
-
-        The observation (including both protocol checks) is a pure
-        function of the watched valid/ready/data slots and the stall
-        bookkeeping, so an unchanged watch set replays the previous
-        classification: ``repeat`` bumps the stall/idle counters — or
-        extends the transfer list with advancing cycle stamps — ``k``
-        cycles at a time.
-        """
-        cls = type(self)
-        if (cls.capture is not ChannelMonitor.capture
-                or cls.commit is not ChannelMonitor.commit):
-            return None
-        store = seq.store
-        vs = store.slot_or_none(self.channel.valid)
-        rs = store.slot_or_none(self.channel.ready)
-        ds = store.slot_or_none(self.channel.data)
-        if None in (vs, rs, ds):
-            return None
-        values = store.values
-        capture_fn = self.capture
-        #: last classification: "transfer" | "stall" | "idle"
-        last = ["idle", None]
-
-        def capture(cycle) -> None:
-            capture_fn()
-            valid = as_bool(values[vs])
-            if valid and as_bool(values[rs]):
-                last[0], last[1] = "transfer", values[ds]
-            elif valid:
-                last[0] = "stall"
-            else:
-                last[0] = "idle"
-
-        def repeat(k, start_cycle) -> None:
-            kind = last[0]
-            if kind == "transfer":
-                data = last[1]
-                self.transfers.extend(
-                    (c, data) for c in range(start_cycle, start_cycle + k)
-                )
-            elif kind == "stall":
-                self.stall_cycles += k
-            else:
-                self.idle_cycles += k
-            self._cycle += k
-
-        watch = ((vs, vs + 1), (rs, rs + 1), (ds, ds + 1))
-        return SeqPlan(self, capture, self.commit, watch, repeat=repeat)
-
     def commit(self) -> bool:
         if self._pending is not None:
             self._cycle, self._stalled_prev, self._stalled_data = self._pending
@@ -164,7 +112,6 @@ class ChannelMonitor(Component):
         self._stalled_prev = False
         self._stalled_data = None
         self._pending = None
-        # In-place clear: the compiled tick plan binds this list.
         self.transfers.clear()
         self.stall_cycles = 0
         self.idle_cycles = 0

@@ -236,10 +236,13 @@ class Component:
 
         Returning ``None`` (the default) makes the engine fall back to
         calling :meth:`combinational` through the Signal API — always
-        correct, just without the slot-level speedup.  Implementations
-        should return ``None`` whenever an assumption does not hold
-        (non-contiguous signal blocks, subclass overrides of the methods
-        they inline, ...) rather than approximate.
+        correct, just without the slot-level speedup.  There is no
+        intermediate generic step: a component either inlines its own
+        logic or takes this fallback.  Implementations should return
+        ``None`` whenever an assumption does not hold (non-contiguous
+        signal blocks, a subclass that may override the methods they
+        inline — ``FullMEB``/``ReducedMEB`` return ``None`` for every
+        subclass, ...) rather than approximate.
         """
         return None
 
@@ -268,9 +271,11 @@ class Component:
         mutations must go through :meth:`invalidate`, which re-arms the
         plan.  Returning ``None`` (the default) keeps the component on
         the legacy per-cycle ``capture()``/``commit()`` dispatch —
-        always correct — and implementations must return ``None`` rather
-        than approximate whenever an assumption fails (overridden
-        capture/commit, unresolvable slots, ...).
+        always correct, but a design with any unplanned component
+        cannot take settle+tick fusion — and implementations must
+        return ``None`` rather than approximate whenever an assumption
+        fails (a subclass with its own capture/commit, unresolvable
+        slots, ...).
         """
         return None
 

@@ -636,7 +636,7 @@ register_family(Family(
                 "design (params: base in {mt_pipeline, mt_chain} plus "
                 "the base family's params)",
     params={"base": "mt_pipeline", "threads": 4, "n_stages": 2,
-            "meb": "reduced", "width": 32},
+            "meb": "reduced", "width": 32, "n_funcs": 4},
     stimulus_kinds=("fuzz",),
 ))
 register_family(Family(
@@ -650,6 +650,7 @@ register_family(Family(
     description="armed fault injection with oracle checks (params: "
                 "fault in {drop, duplicate, stuck_valid, stuck_ready, "
                 "latency_spike}, threads, fire_at, period, spike)",
-    params={"fault": "drop", "threads": 2, "fire_at": 3},
+    params={"fault": "drop", "threads": 2, "fire_at": 3, "period": 3,
+            "spike": 12},
     stimulus_kinds=("inject",),
 ))

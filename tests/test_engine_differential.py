@@ -146,7 +146,34 @@ class TestSingleThreadNetworks:
 # multithreaded networks
 # ----------------------------------------------------------------------
 
+class _NoSharedSlotMEB(ReducedMEB):
+    """ReducedMEB whose shared slot is never granted (S slots)."""
+
+    def can_accept(self, thread: int) -> bool:
+        return self._state[thread] == "EMPTY"
+
+
 class TestMultithreadedNetworks:
+    @pytest.mark.parametrize(
+        "meb_cls, lone_tp",
+        [(FullMEB, 1.0), (ReducedMEB, 1.0), (_NoSharedSlotMEB, 0.5)],
+    )
+    def test_storage_hook_override_lone_thread(self, meb_cls, lone_tp):
+        """A subclass overriding ``can_accept`` gets no compiled step or
+        plan; on legacy dispatch it must still match the oracle, and its
+        missing shared slot must still halve a lone thread's throughput."""
+        streams = {}
+        for engine in ENGINES:
+            items = [list(range(40)), [], [], []]
+            sim, _src, sink, _mebs, mons = make_mt_pipeline(
+                meb_cls, threads=4, items=items, n_stages=2, engine=engine
+            )
+            sim.run(until=lambda s: sink.count == 40, max_cycles=400)
+            streams[engine] = list(sink.received)
+            tp = mons[-1].throughput_window(4, 40, thread=0)
+            assert tp == pytest.approx(lone_tp), engine
+        assert streams["compiled"] == streams["naive"]
+
     @pytest.mark.parametrize("meb_cls", [FullMEB, ReducedMEB])
     def test_mt_pipeline_with_stalls(self, meb_cls):
         def factory(engine):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+from collections.abc import Mapping
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.sweep import (
 )
 from repro.kernel import ENGINES
 from repro.sweep.registry import Family, register_family
+from repro.sweep.fuzz import FAULT_KINDS
 from repro.sweep.report import render_markdown, write_report
 from repro.sweep.runner import execute_scenario
 from repro.sweep.spec import from_dict
@@ -219,6 +221,40 @@ class TestRegistry:
             register_family(
                 Family(name="mt_pipeline", build=None, run=None)
             )
+
+    @pytest.mark.parametrize("family, params", [
+        ("mt_pipeline", {}),
+        ("mt_chain", {}),
+        ("mt_ring", {}),
+        ("md5", {}),
+        ("processor", {}),
+        ("fuzz", {"base": "mt_pipeline"}),
+        ("fuzz", {"base": "mt_chain"}),
+        *(("fault", {"fault": kind}) for kind in FAULT_KINDS),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(v.values()) or "defaults")
+    def test_params_metadata_lists_every_key_the_builder_reads(
+        self, family, params
+    ):
+        """``Family.params`` is what ``/families`` and ``families
+        --json`` advertise; a key a builder reads but the metadata omits
+        is a knob clients cannot discover."""
+        read: set[str] = set()
+
+        class Recording(Mapping):
+            def __getitem__(self, key):
+                read.add(key)
+                return params[key]
+
+            def __iter__(self):
+                return iter(params)
+
+            def __len__(self):
+                return len(params)
+
+        fam = get_family(family)
+        fam.build(Recording(), "compiled")
+        assert read, "the builder read no params at all"
+        assert read <= set(fam.params), sorted(read - set(fam.params))
 
 
 class TestRunner:
