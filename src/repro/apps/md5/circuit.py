@@ -37,7 +37,6 @@ from repro.apps.md5.datapath import (
     MD5Token,
     MessageStore,
     round_datapath_luts,
-    round_logic,
 )
 from repro.core import (
     Barrier,
@@ -222,12 +221,6 @@ class MD5Circuit:
     def round_counter(self) -> int:
         """Completed round passes; the active round is ``counter % 4``."""
         return self._round_releases
-
-    def _apply_round(self, token: MD5Token, thread: int) -> MD5Token:
-        return round_logic(
-            token, thread, self.store,
-            expected_round=self._round_releases,
-        )
 
     # ------------------------------------------------------------------
     # area inventory for the Table I benchmark

@@ -11,8 +11,18 @@ full-throughput elastic pipelining [Carloni et al. 2001]):
   mirroring the paper's remark that EBs "can be designed ... either with
   regular edge-triggered flip flops or level sensitive latches".
 
-Both present an upstream channel (``up``) whose ``ready`` they drive and a
-downstream channel (``down``) whose ``valid``/``data`` they drive.
+:class:`HalfBuffer` is the capacity-1 stage with a combinational ready
+bypass.  All three present an upstream channel (``up``) whose ``ready``
+they drive and a downstream channel (``down``) whose ``valid``/``data``
+they drive.
+
+The buffers have no slot-compiled step or tick plan: every engine runs
+the plain ``combinational``/``capture``/``commit`` methods below, and the
+registered state is plain attributes (no slot re-homing), which the
+generic component snapshot path copies and restores.  No benchmark
+workload runs these buffers, so a second hand-written copy of their
+cycle behaviour would not pay for itself (``docs/engines.md``, fast-path
+audit).
 """
 
 from __future__ import annotations
@@ -22,62 +32,8 @@ from typing import Any
 from repro.elastic.channel import ElasticChannel
 from repro.kernel.component import Component
 from repro.kernel.errors import SimulationError
-from repro.kernel.slots import SeqPlan
-from repro.kernel.values import X, as_bool, same_value, state_changed
+from repro.kernel.values import X, as_bool, state_changed
 
-
-class _SlotWriter:
-    """Scalar compare-and-assign with Signal.set's change semantics.
-
-    One writer per driven signal: on a real value change it stores the
-    new value and marks the signal's declared readers in the engine's
-    dirty set (the slot-level analogue of ``Signal.set`` ->
-    ``note_change``).
-    """
-
-    __slots__ = ("values", "slot", "dirty", "readers")
-
-    def __init__(self, store, sig):
-        self.values = store.values
-        self.slot = store.slot(sig)
-        self.dirty = store.dirty
-        self.readers = store.readers_of((sig,))
-
-    def write(self, new) -> bool:
-        values = self.values
-        old = values[self.slot]
-        if old is new or same_value(old, new):
-            return False
-        values[self.slot] = new
-        if self.readers:
-            self.dirty.update(self.readers)
-        return True
-
-
-def _handshake_writers(store, buffer) -> tuple | None:
-    """(up-ready, down-valid, down-data) slot writers, or None."""
-    sigs = (buffer.up.ready, buffer.down.valid, buffer.down.data)
-    if any(store.slot_or_none(sig) is None for sig in sigs):
-        return None
-    return tuple(_SlotWriter(store, sig) for sig in sigs)
-
-
-def _seq_handshake_layout(seq, buffer) -> tuple | None:
-    """Capture-side slot layout shared by the single-thread buffers.
-
-    Returns ``(values, uv, ur, ud, dv, dr, watch)`` — the slot store's
-    value list, the five handshake/data slots a buffer capture may read,
-    and the matching watch ranges — or ``None`` when any signal did not
-    land in the store.
-    """
-    store = seq.store
-    sigs = (buffer.up.valid, buffer.up.ready, buffer.up.data,
-            buffer.down.valid, buffer.down.ready)
-    slots = [store.slot_or_none(sig) for sig in sigs]
-    if None in slots:
-        return None
-    watch = tuple((s, s + 1) for s in slots)
-    return (store.values, *slots, watch)
 
 #: Symbolic occupancy states used throughout tests and traces.
 EMPTY = "EMPTY"
@@ -112,24 +68,13 @@ class ElasticBuffer(Component):
         # Both handshake outputs are functions of registered occupancy
         # only: the EB reads no signal combinationally.
         self.declare_reads()
-        # Registered state: the stored items, oldest first, in one
-        # slot-backed cell (private until compile_seq re-homes it into
-        # the design-wide SeqStore).
-        self._sstore: list[Any] = [[]]
-        self._sq = 0
+        # Registered state: the stored items, oldest first.
+        self._items: list[Any] = []
         self._next_items: list[Any] | None = None
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def _items(self) -> list[Any]:
-        return self._sstore[self._sq]
-
-    @_items.setter
-    def _items(self, items: list[Any]) -> None:
-        self._sstore[self._sq] = items
-
     @property
     def occupancy(self) -> int:
         return len(self._items)
@@ -150,76 +95,6 @@ class ElasticBuffer(Component):
         self.up.ready.set(count < self.CAPACITY)
         self.down.valid.set(count > 0)
         self.down.data.set(self._items[0] if count else X)
-
-    def compile_comb(self, store):
-        if type(self).combinational is not ElasticBuffer.combinational:
-            return None
-        writers = _handshake_writers(store, self)
-        if writers is None:
-            return None
-        ready_w, valid_w, data_w = (w.write for w in writers)
-        capacity = self.CAPACITY
-        sstore = self._sstore
-        cell = self._sq
-
-        def step() -> bool:
-            items = sstore[cell]
-            count = len(items)
-            changed = ready_w(count < capacity)
-            if valid_w(count > 0):
-                changed = True
-            if data_w(items[0] if count else X):
-                changed = True
-            return changed
-
-        return step
-
-    def compile_seq(self, seq):
-        """Columnar tick plan: slot-level transfer detection, COW item
-        list in one re-homed cell, delta-gated on the five handshake
-        slots plus the cell itself."""
-        cls = type(self)
-        if (cls.capture is not ElasticBuffer.capture
-                or cls.commit is not ElasticBuffer.commit):
-            return None
-        layout = _seq_handshake_layout(seq, self)
-        if layout is None:
-            return None
-        values, uv, ur, ud, dv, dr, watch = layout
-        cell = seq.alloc([self._sstore[self._sq]])
-        self._sstore = seq.values
-        self._sq = cell
-        svalues = seq.values
-        capacity = self.CAPACITY
-        path = self.path
-
-        def capture(cycle) -> None:
-            deq = as_bool(values[dv]) and as_bool(values[dr])
-            enq = as_bool(values[uv]) and as_bool(values[ur])
-            if not deq and not enq:
-                self._next_items = None
-                return
-            items = list(svalues[cell])
-            if deq:
-                items.pop(0)
-            if enq:
-                if len(items) >= capacity:
-                    raise SimulationError(f"{path}: enqueue into full EB")
-                items.append(values[ud])
-            self._next_items = items
-
-        def commit() -> bool:
-            nxt = self._next_items
-            if nxt is None:
-                return False
-            old = svalues[cell]
-            changed = state_changed(old, nxt)
-            svalues[cell] = nxt
-            self._next_items = None
-            return changed
-
-        return SeqPlan(self, capture, commit, watch,
-                       state=((cell, cell + 1),))
 
     def capture(self) -> None:
         items = list(self._items)
@@ -280,26 +155,10 @@ class HalfBuffer(Component):
         down.connect_producer(self)
         # The ready bypass reads downstream ready while the slot is full.
         self.declare_reads(down.ready)
-        # Slot-backed sequential state: [full, item].
-        self._sstore: list[Any] = [False, X]
-        self._sq = 0
+        # Registered state: one slot.
+        self._full = False
+        self._item: Any = X
         self._next: tuple[bool, Any] | None = None
-
-    @property
-    def _full(self) -> bool:
-        return self._sstore[self._sq]
-
-    @_full.setter
-    def _full(self, full: bool) -> None:
-        self._sstore[self._sq] = full
-
-    @property
-    def _item(self) -> Any:
-        return self._sstore[self._sq + 1]
-
-    @_item.setter
-    def _item(self, item: Any) -> None:
-        self._sstore[self._sq + 1] = item
 
     @property
     def occupancy(self) -> int:
@@ -310,66 +169,6 @@ class HalfBuffer(Component):
         self.down.data.set(self._item if self._full else X)
         draining = self._full and as_bool(self.down.ready.value)
         self.up.ready.set((not self._full) or draining)
-
-    def compile_comb(self, store):
-        if type(self).combinational is not HalfBuffer.combinational:
-            return None
-        writers = _handshake_writers(store, self)
-        down_ready = store.slot_or_none(self.down.ready)
-        if writers is None or down_ready is None:
-            return None
-        ready_w, valid_w, data_w = (w.write for w in writers)
-        values = store.values
-        sstore = self._sstore
-        fb = self._sq
-
-        def step() -> bool:
-            full = sstore[fb]
-            changed = valid_w(full)
-            if data_w(sstore[fb + 1] if full else X):
-                changed = True
-            draining = full and as_bool(values[down_ready])
-            if ready_w((not full) or draining):
-                changed = True
-            return changed
-
-        return step
-
-    def compile_seq(self, seq):
-        """Columnar tick plan: slot-level transfers into the [full, item]
-        cells, delta-gated on the handshake slots plus the cells."""
-        cls = type(self)
-        if (cls.capture is not HalfBuffer.capture
-                or cls.commit is not HalfBuffer.commit):
-            return None
-        layout = _seq_handshake_layout(seq, self)
-        if layout is None:
-            return None
-        values, uv, ur, ud, dv, dr, watch = layout
-        fb = seq.alloc(self._sstore[self._sq:self._sq + 2])
-        self._sstore = seq.values
-        self._sq = fb
-        svalues = seq.values
-
-        def capture(cycle) -> None:
-            full, item = svalues[fb], svalues[fb + 1]
-            if as_bool(values[dv]) and as_bool(values[dr]):
-                full, item = False, X
-            if as_bool(values[uv]) and as_bool(values[ur]):
-                full, item = True, values[ud]
-            self._next = (full, item)
-
-        def commit() -> bool:
-            nxt = self._next
-            if nxt is None:
-                return False
-            changed = state_changed((svalues[fb], svalues[fb + 1]), nxt)
-            svalues[fb], svalues[fb + 1] = nxt
-            self._next = None
-            return changed
-
-        return SeqPlan(self, capture, commit, watch,
-                       state=((fb, fb + 2),))
 
     def capture(self) -> None:
         full, item = self._full, self._item
@@ -425,26 +224,10 @@ class LatchElasticBuffer(Component):
         down.connect_producer(self)
         self.declare_reads()
         # Registered state: (full, item) for the slave/output slot and the
-        # master/shadow slot, in two slot-backed cells.
-        self._sstore: list[Any] = [(False, X), (False, X)]
-        self._sq = 0
+        # master/shadow slot.
+        self._out: tuple[bool, Any] = (False, X)
+        self._skid: tuple[bool, Any] = (False, X)
         self._next: tuple[tuple[bool, Any], tuple[bool, Any]] | None = None
-
-    @property
-    def _out(self) -> tuple[bool, Any]:
-        return self._sstore[self._sq]
-
-    @_out.setter
-    def _out(self, out: tuple[bool, Any]) -> None:
-        self._sstore[self._sq] = out
-
-    @property
-    def _skid(self) -> tuple[bool, Any]:
-        return self._sstore[self._sq + 1]
-
-    @_skid.setter
-    def _skid(self, skid: tuple[bool, Any]) -> None:
-        self._sstore[self._sq + 1] = skid
 
     @property
     def occupancy(self) -> int:
@@ -467,78 +250,6 @@ class LatchElasticBuffer(Component):
         self.down.valid.set(out_full)
         self.down.data.set(out_item if out_full else X)
         self.up.ready.set(not self._skid[0])
-
-    def compile_comb(self, store):
-        if type(self).combinational is not LatchElasticBuffer.combinational:
-            return None
-        writers = _handshake_writers(store, self)
-        if writers is None:
-            return None
-        ready_w, valid_w, data_w = (w.write for w in writers)
-        sstore = self._sstore
-        ob = self._sq
-
-        def step() -> bool:
-            out_full, out_item = sstore[ob]
-            changed = valid_w(out_full)
-            if data_w(out_item if out_full else X):
-                changed = True
-            if ready_w(not sstore[ob + 1][0]):
-                changed = True
-            return changed
-
-        return step
-
-    def compile_seq(self, seq):
-        """Columnar tick plan for the master/slave latch pair."""
-        cls = type(self)
-        if (cls.capture is not LatchElasticBuffer.capture
-                or cls.commit is not LatchElasticBuffer.commit):
-            return None
-        layout = _seq_handshake_layout(seq, self)
-        if layout is None:
-            return None
-        values, uv, ur, ud, dv, dr, watch = layout
-        ob = seq.alloc(self._sstore[self._sq:self._sq + 2])
-        self._sstore = seq.values
-        self._sq = ob
-        svalues = seq.values
-        path = self.path
-
-        def capture(cycle) -> None:
-            out_full, out_item = svalues[ob]
-            skid_full, skid_item = svalues[ob + 1]
-            deq = as_bool(values[dv]) and as_bool(values[dr])
-            enq = as_bool(values[uv]) and as_bool(values[ur])
-            if enq and skid_full:
-                raise SimulationError(f"{path}: enqueue while shadow full")
-            incoming = values[ud]
-            if deq:
-                if skid_full:
-                    # Shadow refills the output slot; no enqueue possible.
-                    out_full, out_item = True, skid_item
-                    skid_full, skid_item = False, X
-                else:
-                    out_full, out_item = (True, incoming) if enq else (False, X)
-            else:
-                if enq:
-                    if out_full:
-                        skid_full, skid_item = True, incoming
-                    else:
-                        out_full, out_item = True, incoming
-            self._next = ((out_full, out_item), (skid_full, skid_item))
-
-        def commit() -> bool:
-            nxt = self._next
-            if nxt is None:
-                return False
-            changed = state_changed((svalues[ob], svalues[ob + 1]), nxt)
-            svalues[ob], svalues[ob + 1] = nxt
-            self._next = None
-            return changed
-
-        return SeqPlan(self, capture, commit, watch,
-                       state=((ob, ob + 2),))
 
     def capture(self) -> None:
         out_full, out_item = self._out

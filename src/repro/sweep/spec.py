@@ -29,6 +29,7 @@ import pathlib
 from typing import Any, Mapping
 
 from repro.kernel.engine import ENGINES
+from repro.sweep.registry import get_family
 
 try:  # Python 3.11+
     import tomllib
@@ -124,6 +125,32 @@ def _engine_value(value: Any, *, path: str = "campaign") -> str | None:
         path=path,
         field="engine",
     )
+
+
+def _check_int_params(
+    family: str, params: Mapping[str, Any], grid: Mapping[str, Any],
+    *, path: str,
+) -> None:
+    """Reject a non-integer value (bools included) for any parameter
+    whose registered default is an ``int``: the builders call ``int()``
+    on it, which would silently truncate 2.5 or read ``true`` as 1.
+
+    Unknown families are left to the runner, which reports them per
+    scenario; families registered without ``params`` metadata are not
+    checked.
+    """
+    try:
+        defaults = get_family(family).params
+    except KeyError:
+        return
+    for name, default in defaults.items():
+        if isinstance(default, bool) or not isinstance(default, int):
+            continue
+        if name in params:
+            _int_value(params[name], None, path=path,
+                       field=f"params.{name}")
+        for value in grid.get(name, ()):
+            _int_value(value, None, path=path, field=f"grid.{name}")
 
 
 def _canon_value(value: Any) -> str:
@@ -252,6 +279,7 @@ def _expand_template(
                 path=where,
                 field=f"grid.{axis}",
             )
+    _check_int_params(family, base_params, grid, path=where)
     # Grid axes sweep structural params by default; an axis named
     # "stimulus.<opt>" sweeps a stimulus option instead (the swept
     # options are recorded as tags so scenario keys stay distinct).

@@ -47,3 +47,34 @@ def test_previous_tracer_is_restored():
     before = sys.gettrace()
     count_ops.count(lambda: None)
     assert sys.gettrace() is before
+
+
+def test_fast_path_audit_lists_every_override():
+    # A new hand-written step or plan must enter the audit's variant
+    # list, or it would never be measured against the plain methods.
+    import importlib
+    import pkgutil
+
+    import repro
+    from repro.kernel.component import Component
+
+    spec = importlib.util.spec_from_file_location(
+        "audit_fast_paths", ROOT / "benchmarks" / "audit_fast_paths.py"
+    )
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    found = set()
+    pending = [Component]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if cls is Component or not cls.__module__.startswith("repro."):
+            continue
+        for hook in ("compile_comb", "compile_seq"):
+            if hook in vars(cls):
+                found.add((cls.__module__, cls.__name__, hook))
+    assert found == set(audit.OVERRIDES)

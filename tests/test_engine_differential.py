@@ -599,25 +599,62 @@ class TestForkDifferential:
             tuple(sig.value for sig in sim.signals),
         )
 
-    def test_fork_mid_run_equals_uninterrupted(self):
+    @staticmethod
+    def _assert_fork_unobservable(factory, fingerprint, at, span):
+        """Snapshot at cycle *at*, run *span*, restore, rerun *span*:
+        the rerun, an uninterrupted run and every engine must agree.
+        *factory(engine)* returns ``(sim, probe)``; *fingerprint(sim,
+        probe)* reads the observable state."""
         fingerprints = {}
         for engine in ENGINES:
-            sim, _src, sink, _mebs, mons = self._factory(engine)
-            sim.run(cycles=13)
+            sim, probe = factory(engine)
+            sim.run(cycles=at)
             snap = sim.snapshot()
-            sim.run(cycles=50)
-            interrupted = self._fingerprint(sim, sink, mons[-1])
+            sim.run(cycles=span)
+            interrupted = fingerprint(sim, probe)
 
             sim.restore(snap)
-            assert sim.cycle == 13
-            sim.run(cycles=50)
-            rewound = self._fingerprint(sim, sink, mons[-1])
+            assert sim.cycle == at
+            sim.run(cycles=span)
+            rewound = fingerprint(sim, probe)
             assert rewound == interrupted, engine
 
-            ref_sim, _s, ref_sink, _m, ref_mons = self._factory(engine)
-            ref_sim.run(cycles=63)
-            reference = self._fingerprint(ref_sim, ref_sink, ref_mons[-1])
+            ref_sim, ref_probe = factory(engine)
+            ref_sim.run(cycles=at + span)
+            reference = fingerprint(ref_sim, ref_probe)
             assert reference == interrupted, engine
             fingerprints[engine] = interrupted
         for engine in ENGINES[1:]:
             assert fingerprints[engine] == fingerprints["naive"], engine
+
+    def test_fork_mid_run_equals_uninterrupted(self):
+        def factory(engine):
+            sim, _src, sink, _mebs, mons = self._factory(engine)
+            return sim, (sink, mons[-1])
+
+        self._assert_fork_unobservable(
+            factory, lambda sim, probe: self._fingerprint(sim, *probe),
+            at=13, span=50,
+        )
+
+    def test_fork_single_thread_buffer_chain(self):
+        # The single-thread buffers keep their registered state in plain
+        # attributes, so the generic component snapshot path carries it.
+        def factory(engine):
+            chans = [ElasticChannel(f"c{i}", width=16) for i in range(5)]
+            src = Source("src", chans[0], items=list(range(40)))
+            bufs = [
+                ElasticBuffer("eb0", chans[0], chans[1]),
+                LatchElasticBuffer("leb", chans[1], chans[2]),
+                HalfBuffer("hb", chans[2], chans[3]),
+                ElasticBuffer("eb1", chans[3], chans[4]),
+            ]
+            snk = Sink("snk", chans[4], pattern=duty_cycle(3, 4))
+            return build(*chans, src, *bufs, snk, engine=engine), snk
+
+        def fingerprint(sim, snk):
+            sim.settle()
+            return (sim.cycle, tuple(snk.received),
+                    tuple(sig.value for sig in sim.signals))
+
+        self._assert_fork_unobservable(factory, fingerprint, at=13, span=30)

@@ -372,6 +372,17 @@ MALFORMED_SPECS = [
                  "scenarios[0]", "family", id="family-int"),
     pytest.param({"campaign": {"engine": "event"}, "scenarios": [_SCENARIO]},
                  "campaign", "engine", id="engine-event"),
+    # An integer family parameter is never truncated or read from a bool.
+    pytest.param({"scenarios": [{"family": "mt_pipeline",
+                                 "params": {"threads": 2.5}}]},
+                 "scenarios[0]", "params.threads", id="int-param-float"),
+    pytest.param({"scenarios": [{"family": "mt_pipeline",
+                                 "params": {"threads": True}}]},
+                 "scenarios[0]", "params.threads", id="int-param-bool"),
+    pytest.param({"scenarios": [_SCENARIO,
+                                {"family": "mt_ring",
+                                 "grid": {"trips": [2, 3.5]}}]},
+                 "scenarios[1]", "grid.trips", id="int-grid-float"),
 ]
 
 

@@ -155,6 +155,20 @@ class TestSpec:
             )
         assert excinfo.value.field == "grid.threads"
 
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_non_integer_int_param_is_spec_error(self, value):
+        # The builders call int() on these, so 2.5 would run a 2-thread
+        # design and True a 1-thread one under a key reading 2.5/True.
+        with pytest.raises(SpecError) as excinfo:
+            from_dict({"scenarios": [{"family": "mt_pipeline",
+                                      "params": {"threads": value}}]})
+        err = excinfo.value
+        assert (err.path, err.field) == ("scenarios[0]", "params.threads")
+        with pytest.raises(SpecError) as excinfo:
+            from_dict({"scenarios": [{"family": "fault",
+                                      "grid": {"fire_at": [3, value]}}]})
+        assert excinfo.value.field == "grid.fire_at"
+
     @pytest.mark.parametrize("engine", ["event", "bogus", 3])
     def test_unknown_engine_is_spec_error(self, engine):
         with pytest.raises(SpecError) as excinfo:
